@@ -10,10 +10,6 @@
 /// Migration from the pre-Augmenter API (old call -> new call):
 ///
 ///   FeatAug(problem, opts) + Fit()      -> MakeFeatAugAugmenter(...)->Fit()
-///   feataug.Apply(plan, batch)          -> fitted->Transform(batch)
-///   feataug.ApplyToDataset(plan, batch) -> fitted->TransformToDataset(...)
-///   per-batch loop over Apply           -> fitted->TransformMany(batches)
-///   ReadAugmentationPlan + Apply        -> LoadFittedAugmenter(path, R)
 ///
 ///   ./quickstart
 

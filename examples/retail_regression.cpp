@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   }
 
   // Compile the plan into a serving handle once; Transform is the repeated
-  // cheap phase (replaces the deprecated Apply shim).
+  // cheap phase.
   auto fitted = feataug.MakeFitted(plan.value());
   if (!fitted.ok()) {
     std::fprintf(stderr, "MakeFitted failed: %s\n",

@@ -135,6 +135,14 @@ else
   exit 1
 fi
 
+# ---- End-to-end benchmark: correctness of every workload --------------------
+# (perfbench runs a whole Fit, bulk Transform and daemon serving through the
+# public API and checks every output, including the byte identity of every
+# Transform and daemon response against a fresh-planner oracle. It exits
+# non-zero when any workload reports correct=false. Short runs: this step
+# gates correctness, not speed.)
+(cd "$ROOT" && python3 perfbench/run.py --all --seconds 3)
+
 # ---- Fault-injection sweep: randomized seeds, typed-Status invariant --------
 # (fault_sweep_test runs EnableRandom(seed, p) sweeps: every injected fault
 # must surface as a clean typed Status and every surviving slot must be

@@ -269,22 +269,4 @@ Result<std::unique_ptr<FittedAugmenter>> FeatAug::MakeFitted(
   return MakeFittedAugmenter(plan, problem_.relevant);
 }
 
-Result<Table> FeatAug::Apply(const AugmentationPlan& plan,
-                             const Table& training) const {
-  // Deprecated shim: builds a transient serving handle per call. The handle
-  // compiles the plan's shared artifacts once and is the path to hold on to
-  // for repeated application.
-  FEAT_ASSIGN_OR_RETURN(std::unique_ptr<FittedAugmenter> fitted,
-                        MakeFitted(plan));
-  return fitted->Transform(training);
-}
-
-Result<Dataset> FeatAug::ApplyToDataset(const AugmentationPlan& plan,
-                                        const Table& training) const {
-  FEAT_ASSIGN_OR_RETURN(std::unique_ptr<FittedAugmenter> fitted,
-                        MakeFitted(plan));
-  return fitted->TransformToDataset(training, problem_.label_col,
-                                    problem_.base_feature_cols, problem_.task);
-}
-
 }  // namespace featlib

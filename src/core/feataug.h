@@ -3,8 +3,8 @@
 /// \file feataug.h
 /// \brief End-to-end FeatAug (Fig. 2): optional Query Template
 /// Identification, then SQL Query Generation per selected template, yielding
-/// an augmentation plan of predicate-aware queries that Apply() joins onto
-/// the training table.
+/// an augmentation plan of predicate-aware queries that a FittedAugmenter
+/// (MakeFitted) joins onto the training table.
 
 #include <memory>
 #include <optional>
@@ -148,18 +148,6 @@ class FeatAug {
   /// artifacts are compiled once here and reused by every Transform.
   Result<std::unique_ptr<FittedAugmenter>> MakeFitted(
       const AugmentationPlan& plan) const;
-
-  /// Appends the plan's features to a table with the same schema as D.
-  /// \deprecated Shim over MakeFitted()->Transform(): copies the relevant
-  /// table and re-compiles the plan's artifacts per call. Hold a
-  /// FittedAugmenter for repeated application.
-  Result<Table> Apply(const AugmentationPlan& plan, const Table& training) const;
-
-  /// Builds the augmented Dataset (base features + plan features) for
-  /// downstream training, aligned to `training` rows.
-  /// \deprecated Shim over MakeFitted()->TransformToDataset().
-  Result<Dataset> ApplyToDataset(const AugmentationPlan& plan,
-                                 const Table& training) const;
 
   /// The evaluator (valid after Fit); exposes split/test scoring.
   FeatureEvaluator* evaluator() {

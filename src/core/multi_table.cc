@@ -286,19 +286,4 @@ Result<std::unique_ptr<FittedAugmenter>> MultiTableFeatAug::MakeFitted(
   return FittedAugmenter::Create(std::move(sources), diag);
 }
 
-Result<Dataset> MultiTableFeatAug::ApplyToDataset(const MultiTablePlan& plan,
-                                                  const Table& training) const {
-  FEAT_ASSIGN_OR_RETURN(std::unique_ptr<FittedAugmenter> fitted,
-                        MakeFitted(plan));
-  return fitted->TransformToDataset(training, problem_.label_col,
-                                    problem_.base_feature_cols, problem_.task);
-}
-
-Result<Table> MultiTableFeatAug::Apply(const MultiTablePlan& plan,
-                                       const Table& training) const {
-  FEAT_ASSIGN_OR_RETURN(std::unique_ptr<FittedAugmenter> fitted,
-                        MakeFitted(plan));
-  return fitted->Transform(training);
-}
-
 }  // namespace featlib

@@ -120,17 +120,6 @@ class MultiTableFeatAug {
   Result<std::unique_ptr<FittedAugmenter>> MakeFitted(
       const MultiTablePlan& plan) const;
 
-  /// Appends every table's plan features to `training` (names qualified as
-  /// "<table>__<feature>").
-  /// \deprecated Shim over MakeFitted()->Transform(): re-plans per call.
-  Result<Table> Apply(const MultiTablePlan& plan, const Table& training) const;
-
-  /// Builds the augmented Dataset (base features + every table's plan
-  /// features) aligned to `training` rows, ready for downstream training.
-  /// \deprecated Shim over MakeFitted()->TransformToDataset().
-  Result<Dataset> ApplyToDataset(const MultiTablePlan& plan,
-                                 const Table& training) const;
-
  private:
   /// Probe for kProxyWeighted: best proxy score over the table's
   /// unpredicated aggregate queries.

@@ -37,9 +37,11 @@ ArtifactStore::GroupArtifact* ArtifactStore::PublishGroup(
 }
 
 void ArtifactStore::PublishTrainMap(GroupArtifact* group,
-                                    std::vector<uint32_t> train_map) {
+                                    std::vector<uint32_t> train_map,
+                                    uint64_t train_fingerprint) {
   ++train_map_builds_;
   group->train_map = std::move(train_map);
+  group->train_fingerprint = train_fingerprint;
   group->has_train_map = true;
 }
 

@@ -56,6 +56,7 @@ class ArtifactStore {
     GroupIndex index;
     bool has_train_map = false;
     std::vector<uint32_t> train_map;  // training row -> group id
+    uint64_t train_fingerprint = 0;   // training keys the map was built for
   };
 
   ArtifactStore() = default;
@@ -84,8 +85,10 @@ class ArtifactStore {
   /// and conjunction build counters.
   /// @{
   GroupArtifact* PublishGroup(const std::string& key, GroupIndex index);
-  /// Attaches/overwrites the training-row map of a published group artifact.
-  void PublishTrainMap(GroupArtifact* group, std::vector<uint32_t> train_map);
+  /// Attaches/overwrites the training-row map of a published group artifact,
+  /// with the fingerprint of the training keys it maps.
+  void PublishTrainMap(GroupArtifact* group, std::vector<uint32_t> train_map,
+                       uint64_t train_fingerprint);
   const Bitset* PublishMask(const std::string& key, Bitset bits,
                             bool is_conjunction);
   const std::vector<double>* PublishView(const std::string& attr,

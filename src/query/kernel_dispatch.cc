@@ -49,9 +49,10 @@ const KernelOps& ScalarKernelOps() {
   static const KernelOps ops = {
       /*backend=*/KernelBackend::kScalar,
       /*level=*/SimdLevel::kScalarOnly,
-      /*aggregate_streaming=*/&AggregateStreaming,
+      /*aggregate_streaming=*/&AggregateStreaming<RowSpans>,
+      /*absorb=*/&AbsorbRows<RowSpans>,
       /*aggregate_from_materialized=*/&AggregateFromMaterialized,
-      /*build_materialized=*/&BuildMaterializedValues,
+      /*build_materialized=*/&BuildMaterializedValues<RowSpans>,
       /*compute_feature=*/&ComputeFeatureKernel,
       /*build_filter_mask=*/&ScalarBuildFilterMask,
   };

@@ -8,7 +8,8 @@
 /// const inputs so that more than one kernel implementation could consume
 /// it. This layer adds the second implementation set and the switch between
 /// them: a `KernelOps` table bundles every kernel entry point the planner
-/// dispatches through — streaming aggregation, bucket-slice aggregation,
+/// and the morsel executor dispatch through — streaming aggregation,
+/// per-range absorption into a GroupAccumulator, bucket-slice aggregation,
 /// bucket materialization, the full per-candidate feature kernel, and the
 /// predicate-to-mask evaluation of the prepare phase.
 ///
@@ -22,10 +23,14 @@
 ///
 /// **Bit-identity contract.** Backend choice is purely a performance knob:
 /// every entry of every table must produce byte-identical output for the
-/// same inputs, at every thread count. The SIMD kernels therefore preserve
-/// the scalar kernels' accumulation order (floating-point reductions are
-/// order-preserving, not fastest-possible) and are swept against the scalar
-/// oracle by tests/kernel_dispatch_test.cc and the recorded goldens.
+/// same inputs, at every thread count. Streaming aggregation, absorption
+/// and materialization share one implementation (query/kernels.h over the
+/// one GroupAccumulator); the tables differ only in how they iterate the
+/// selected rows (per-bit scan vs run- and group-segment-decoded spans),
+/// which visits the same rows in the same ascending order. The remaining
+/// vectorized entries (slice MIN/MAX, the scatter, mask evaluation) are
+/// order-independent and swept against the scalar oracle by
+/// tests/kernel_dispatch_test.cc and the recorded goldens.
 ///
 /// Selection order (first non-auto wins):
 ///   1. the per-planner override (QueryPlanner::set_kernel_backend),
@@ -67,14 +72,18 @@ struct KernelOps {
   /// The ISA its vectorized paths engage (kScalarOnly for the scalar table).
   SimdLevel level;
 
-  /// See AggregateStreaming (query/kernels.h).
+  /// AggregateStreaming (query/kernels.h) with this table's iteration.
   std::vector<double> (*aggregate_streaming)(
       AggFunction fn, const GroupIndex& index, const Bitset* mask,
       const double* view, std::vector<uint32_t>* first_selected_row);
+  /// AbsorbRows (query/kernels.h) with this table's iteration: folds one
+  /// row range (e.g. a morsel) into a candidate's accumulator.
+  void (*absorb)(GroupAccumulator& acc, const uint32_t* row_groups,
+                 size_t n_rows, const Bitset* mask, const double* view);
   /// See AggregateFromMaterialized.
   std::vector<double> (*aggregate_from_materialized)(
       AggFunction fn, const MaterializedValues& m);
-  /// See BuildMaterializedValues.
+  /// BuildMaterializedValues with this table's iteration.
   MaterializedValues (*build_materialized)(const GroupIndex& index,
                                            const Bitset* mask,
                                            const double* view);

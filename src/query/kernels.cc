@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "query/aggregate.h"
+
 namespace featlib {
 
 namespace {
@@ -11,145 +13,6 @@ constexpr uint32_t kNoGroup = GroupIndex::kNoGroup;
 double Nan() { return std::nan(""); }
 
 }  // namespace
-
-std::vector<double> AggregateStreaming(
-    AggFunction fn, const GroupIndex& index, const Bitset* mask,
-    const double* view, std::vector<uint32_t>* first_selected_row) {
-  const std::vector<uint32_t>& row_groups = index.row_groups();
-  const size_t n = row_groups.size();
-  const size_t n_groups = index.num_groups();
-  std::vector<double> feature(n_groups, Nan());
-  if (first_selected_row) first_selected_row->assign(n_groups, kNoGroup);
-  if (n_groups == 0) return feature;
-  // Empty selection detected by popcount: every group is absent, all NaN.
-  if (mask != nullptr && mask->Count() == 0) return feature;
-
-  // Rows passing the filter per group; groups left at 0 are "absent" (the
-  // original per-candidate path never entered them into its hash map) and
-  // stay NaN even for COUNT. value_count tracks non-null aggregation cells.
-  std::vector<uint32_t> present(n_groups, 0);
-  std::vector<uint32_t> value_count(n_groups, 0);
-
-  // Visits the selected rows in ascending order — a word scan over the
-  // packed bitset, or all rows when there is no predicate.
-  auto for_each_selected = [&](auto&& body) {
-    if (mask == nullptr) {
-      for (size_t row = 0; row < n; ++row) body(row);
-    } else {
-      mask->ForEachSetBit(body);
-    }
-  };
-
-  // Streams the selected rows' values in ascending row order — the order
-  // every accumulation below depends on for bit-identical arithmetic with
-  // the recorded goldens. A null `view` (COUNT(*) without an agg attribute)
-  // tallies row presence and reads no values at all.
-  auto stream = [&](auto&& on_value) {
-    for_each_selected([&](size_t row) {
-      const uint32_t g = row_groups[row];
-      if (g == kNoGroup) return;
-      if (present[g] == 0 && first_selected_row) {
-        (*first_selected_row)[g] = static_cast<uint32_t>(row);
-      }
-      ++present[g];
-      if (view == nullptr) return;
-      const double v = view[row];
-      if (std::isnan(v)) return;  // null cell
-      ++value_count[g];
-      on_value(g, v);
-    });
-  };
-
-  switch (fn) {
-    case AggFunction::kCount: {
-      stream([](uint32_t, double) {});
-      if (view == nullptr) {
-        // COUNT(*): selected rows per group, straight from the presence
-        // tally (groups with any selected row are by construction > 0).
-        for (size_t g = 0; g < n_groups; ++g) {
-          if (present[g] > 0) feature[g] = static_cast<double>(present[g]);
-        }
-      } else {
-        for (size_t g = 0; g < n_groups; ++g) {
-          if (present[g] > 0) feature[g] = static_cast<double>(value_count[g]);
-        }
-      }
-      return feature;
-    }
-    case AggFunction::kSum:
-    case AggFunction::kAvg: {
-      std::vector<double> sum(n_groups, 0.0);
-      stream([&](uint32_t g, double v) { sum[g] += v; });
-      for (size_t g = 0; g < n_groups; ++g) {
-        if (present[g] == 0 || value_count[g] == 0) continue;
-        feature[g] = fn == AggFunction::kSum
-                         ? sum[g]
-                         : sum[g] / static_cast<double>(value_count[g]);
-      }
-      return feature;
-    }
-    case AggFunction::kMin:
-    case AggFunction::kMax: {
-      const bool is_min = fn == AggFunction::kMin;
-      std::vector<double> best(n_groups, 0.0);
-      stream([&](uint32_t g, double v) {
-        if (value_count[g] == 1 || (is_min ? v < best[g] : v > best[g])) {
-          best[g] = v;
-        }
-      });
-      for (size_t g = 0; g < n_groups; ++g) {
-        if (present[g] > 0 && value_count[g] > 0) feature[g] = best[g];
-      }
-      return feature;
-    }
-    case AggFunction::kVar:
-    case AggFunction::kVarSample:
-    case AggFunction::kStd:
-    case AggFunction::kStdSample: {
-      const bool sample =
-          fn == AggFunction::kVarSample || fn == AggFunction::kStdSample;
-      const bool std_dev =
-          fn == AggFunction::kStd || fn == AggFunction::kStdSample;
-      std::vector<double> mean(n_groups, 0.0);
-      stream([&](uint32_t g, double v) { mean[g] += v; });
-      for (size_t g = 0; g < n_groups; ++g) {
-        if (value_count[g] > 0) mean[g] /= static_cast<double>(value_count[g]);
-      }
-      // Second value pass accumulates squared deviations in the same row
-      // order as the reference's two-pass variance.
-      std::vector<double> ss(n_groups, 0.0);
-      for_each_selected([&](size_t row) {
-        const uint32_t g = row_groups[row];
-        if (g == kNoGroup) return;
-        const double v = view[row];
-        if (std::isnan(v)) return;
-        const double d = v - mean[g];
-        ss[g] += d * d;
-      });
-      for (size_t g = 0; g < n_groups; ++g) {
-        const size_t cnt = value_count[g];
-        if (present[g] == 0 || cnt == 0 || (sample && cnt < 2)) continue;
-        const double denom =
-            sample ? static_cast<double>(cnt - 1) : static_cast<double>(cnt);
-        const double var = ss[g] / denom;
-        feature[g] = std_dev ? std::sqrt(var) : var;
-      }
-      return feature;
-    }
-    default:
-      break;
-  }
-
-  // Materializing fallback for order-statistic / frequency aggregates:
-  // bucket the selected non-null values into one flat array (preserving row
-  // order), then delegate each group's slice to the shared ComputeAggregate.
-  // These aggregates always carry an agg attribute, so `view` is non-null.
-  // Cold path — inside the planner, such candidates get a shared bucket
-  // materialization instead; only ExecuteAggQuery streams them.
-  if (first_selected_row) stream([](uint32_t, double) {});
-  return AggregateFromMaterialized(fn,
-                                   BuildMaterializedValues(index, mask, view));
-}
 
 std::vector<double> AggregateFromMaterialized(AggFunction fn,
                                               const MaterializedValues& m) {
@@ -163,52 +26,12 @@ std::vector<double> AggregateFromMaterialized(AggFunction fn,
   return feature;
 }
 
-MaterializedValues BuildMaterializedValues(const GroupIndex& index,
-                                           const Bitset* mask,
-                                           const double* view) {
-  const std::vector<uint32_t>& row_groups = index.row_groups();
-  const size_t n = row_groups.size();
-  const size_t n_groups = index.num_groups();
-
-  auto for_each_selected = [&](auto&& body) {
-    if (mask == nullptr) {
-      for (size_t row = 0; row < n; ++row) body(row);
-    } else {
-      mask->ForEachSetBit(body);
-    }
-  };
-
-  MaterializedValues m;
-  m.present.assign(n_groups, 0);
-  std::vector<uint32_t> value_count(n_groups, 0);
-  for_each_selected([&](size_t row) {
-    const uint32_t g = row_groups[row];
-    if (g == kNoGroup) return;
-    ++m.present[g];
-    if (!std::isnan(view[row])) ++value_count[g];
-  });
-  m.offsets.assign(n_groups + 1, 0);
-  for (size_t g = 0; g < n_groups; ++g) {
-    m.offsets[g + 1] = m.offsets[g] + value_count[g];
-  }
-  m.flat.resize(m.offsets[n_groups]);
-  std::vector<size_t> cursor(m.offsets.begin(), m.offsets.end() - 1);
-  for_each_selected([&](size_t row) {
-    const uint32_t g = row_groups[row];
-    if (g == kNoGroup) return;
-    const double v = view[row];
-    if (std::isnan(v)) return;
-    m.flat[cursor[g]++] = v;
-  });
-  return m;
-}
-
 std::vector<double> ComputeFeatureKernel(const PlannedCandidate& p) {
   const std::vector<double> per_group =
       p.mat != nullptr
           ? AggregateFromMaterialized(p.query->agg, *p.mat)
-          : AggregateStreaming(p.query->agg, *p.index, p.mask, p.view,
-                               nullptr);
+          : AggregateStreaming<RowSpans>(p.query->agg, *p.index, p.mask,
+                                         p.view, nullptr);
   const std::vector<uint32_t>& train_map = *p.train_map;
   std::vector<double> out(train_map.size(), Nan());
   for (size_t row = 0; row < out.size(); ++row) {

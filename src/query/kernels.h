@@ -12,17 +12,28 @@
 /// resolved input of one candidate's kernel: raw pointers to store-owned
 /// (epoch-pinned) or caller-owned const data.
 ///
+/// Streaming aggregation and bucket materialization are written once, as
+/// templates over a `Spans` iteration of the selected rows; each kernel
+/// backend (query/kernel_dispatch.h) instantiates them with its own
+/// iteration — `RowSpans` below is the scalar reference. The per-group
+/// arithmetic lives in the one GroupAccumulator (query/group_accumulator.h);
+/// the dense-slice oracle ComputeAggregate (query/aggregate.h) aggregates
+/// materialized buckets.
+///
 /// Bit-identity contract: every accumulation visits selected rows in
 /// ascending row order — the same order the original per-candidate executor
 /// appended group row vectors in — so kernel outputs are byte-identical to
-/// the recorded goldens (tests/golden/) at every thread count.
+/// the recorded goldens (tests/golden/) at every thread count, backend and
+/// morsel size.
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "common/aligned.h"
 #include "query/agg_query.h"
 #include "query/bitset.h"
+#include "query/group_accumulator.h"
 #include "query/group_index.h"
 
 namespace featlib {
@@ -67,31 +78,121 @@ struct PlannedCandidate {
   const MaterializedValues* mat = nullptr;  // aggregate from slices if set
 };
 
-/// The streaming kernel: per-group aggregate values for one candidate,
-/// visiting selected rows in ascending order (word scan when `mask` is
-/// set). `view` is the candidate's numeric value view; null only for
+/// The reference selected-row iteration: every selected row of a row range
+/// as a span of one, by a per-bit scan of `mask` (all rows when null),
+/// skipping rows with no group.
+class RowSpans {
+ public:
+  RowSpans(const uint32_t* row_groups, size_t n_rows, const Bitset* mask)
+      : row_groups_(row_groups), n_rows_(n_rows), mask_(mask) {}
+
+  template <typename Body>
+  void operator()(Body&& body) const {
+    auto visit = [&](size_t row) {
+      const uint32_t g = row_groups_[row];
+      if (g != GroupIndex::kNoGroup) body(g, row, row + 1);
+    };
+    if (mask_ == nullptr) {
+      for (size_t row = 0; row < n_rows_; ++row) visit(row);
+    } else {
+      mask_->ForEachSetBit(visit);
+    }
+  }
+
+ private:
+  const uint32_t* row_groups_;
+  size_t n_rows_;
+  const Bitset* mask_;
+};
+
+/// Folds the selected rows of one row range into `acc` with the iteration
+/// `Spans` (constructed from the range's group ids, row count and mask).
+template <typename Spans>
+void AbsorbRows(GroupAccumulator& acc, const uint32_t* row_groups,
+                size_t n_rows, const Bitset* mask, const double* view) {
+  acc.Absorb(view, Spans(row_groups, n_rows, mask));
+}
+
+/// The streaming kernel: per-group aggregate values for one candidate over
+/// the whole relevant table — grow, absorb (twice for two-pass functions),
+/// finish. `view` is the candidate's numeric value view; null only for
 /// COUNT(*) candidates without an agg attribute, which then read no values
 /// at all. Groups with no selected row get NaN. When `first_selected_row`
 /// is non-null it receives, per group, the first row index passing the
 /// filter (GroupIndex::kNoGroup when none does).
+template <typename Spans>
 std::vector<double> AggregateStreaming(
     AggFunction fn, const GroupIndex& index, const Bitset* mask,
-    const double* view, std::vector<uint32_t>* first_selected_row);
+    const double* view, std::vector<uint32_t>* first_selected_row) {
+  const size_t n_groups = index.num_groups();
+  if (first_selected_row) {
+    first_selected_row->assign(n_groups, GroupIndex::kNoGroup);
+  }
+  // Empty selection detected by popcount: every group is absent, all NaN.
+  if (n_groups == 0 || (mask != nullptr && mask->Count() == 0)) {
+    return std::vector<double>(n_groups, std::nan(""));
+  }
+  const Spans spans(index.row_groups().data(), index.num_rows(), mask);
+  if (first_selected_row) {
+    spans([&](uint32_t g, size_t b, size_t) {
+      uint32_t& first = (*first_selected_row)[g];
+      if (first == GroupIndex::kNoGroup) first = static_cast<uint32_t>(b);
+    });
+  }
+  GroupAccumulator acc(fn);
+  acc.Grow(n_groups);
+  acc.Absorb(view, spans);
+  if (acc.NeedsSecondPass()) {
+    acc.BeginSecondPass();
+    acc.Absorb(view, spans);
+  }
+  return acc.Finish();
+}
+
+/// Builds one bucket materialization: the selected non-null values of
+/// `view`, bucketed by group id into one flat array in ascending row order
+/// (a tally pass sizes the slices, a fill pass copies the values). Pure —
+/// safe to run concurrently with other artifact builds.
+template <typename Spans>
+MaterializedValues BuildMaterializedValues(const GroupIndex& index,
+                                           const Bitset* mask,
+                                           const double* view) {
+  const size_t n_groups = index.num_groups();
+  const Spans spans(index.row_groups().data(), index.num_rows(), mask);
+  MaterializedValues m;
+  m.present.assign(n_groups, 0);
+  std::vector<uint32_t> value_count(n_groups, 0);
+  spans([&](uint32_t g, size_t b, size_t e) {
+    m.present[g] += static_cast<uint32_t>(e - b);
+    uint32_t n = 0;
+    for (size_t row = b; row < e; ++row) n += !std::isnan(view[row]);
+    value_count[g] += n;
+  });
+  m.offsets.assign(n_groups + 1, 0);
+  for (size_t g = 0; g < n_groups; ++g) {
+    m.offsets[g + 1] = m.offsets[g] + value_count[g];
+  }
+  m.flat.resize(m.offsets[n_groups]);
+  std::vector<size_t> cursor(m.offsets.begin(), m.offsets.end() - 1);
+  spans([&](uint32_t g, size_t b, size_t e) {
+    size_t c = cursor[g];
+    for (size_t row = b; row < e; ++row) {
+      const double v = view[row];
+      if (!std::isnan(v)) m.flat[c++] = v;
+    }
+    cursor[g] = c;
+  });
+  return m;
+}
 
 /// Per-group aggregates over a materialized bucket's flat slices.
 std::vector<double> AggregateFromMaterialized(AggFunction fn,
                                               const MaterializedValues& m);
 
-/// Builds one bucket materialization: the selected non-null values of
-/// `view`, bucketed by group id into one flat array in ascending row order.
-/// Pure — safe to run concurrently with other artifact builds.
-MaterializedValues BuildMaterializedValues(const GroupIndex& index,
-                                           const Bitset* mask,
-                                           const double* view);
-
-/// The full per-candidate fan-out kernel: per-group aggregation (from the
-/// materialized bucket when `p.mat` is set, streaming otherwise) plus the
-/// scatter through the training-row map. Requires `p.train_map`.
+/// The full per-candidate fan-out kernel of the scalar backend: per-group
+/// aggregation (from the materialized bucket when `p.mat` is set, streaming
+/// otherwise) plus the scatter through the training-row map. Requires
+/// `p.train_map`.
 std::vector<double> ComputeFeatureKernel(const PlannedCandidate& p);
 
 }  // namespace featlib

@@ -1,21 +1,24 @@
 /// \file kernels_simd.cc
 /// \brief The vectorized kernel backend (KernelBackend::kSimd).
 ///
-/// Every function here must produce output byte-identical to its scalar
-/// counterpart in kernels.cc — backend choice is a performance knob, never a
-/// semantics knob (see kernel_dispatch.h). That constraint dictates what is
-/// vectorized and how:
+/// Every entry here must produce output byte-identical to the scalar table
+/// (kernels.cc) — backend choice is a performance knob, never a semantics
+/// knob (see kernel_dispatch.h). That constraint dictates what is vectorized
+/// and how:
 ///
 ///  - **Floating-point reductions keep scalar order.** SUM/AVG/VAR are
 ///    sequential dependence chains whose result depends on accumulation
 ///    order; re-associating them into vector lanes would change low bits.
-///    They are accelerated only by cheaper *iteration* (below), never by
-///    reordered arithmetic.
+///    Streaming aggregation, absorption and materialization are therefore
+///    the shared templates of kernels.h over the one GroupAccumulator; this
+///    backend contributes only their *iteration* (SegmentSpans, below).
 ///  - **Mask iteration is run-decoded.** The streaming kernels' per-row cost
 ///    is dominated by per-bit scanning (countr_zero + clear-lowest) and the
 ///    grouped scatter, not arithmetic. Decoding each mask word into runs of
 ///    consecutive selected rows once turns dense masks into plain contiguous
-///    loops — visiting exactly the same rows in exactly the same order.
+///    loops, and splitting runs into group-constant segments lets the
+///    accumulator keep a group's state in registers — visiting exactly the
+///    same rows in exactly the same order.
 ///  - **Order-independent kernels vectorize fully**: MIN/MAX over
 ///    materialized slices (lane-parallel min/max; equal doubles are
 ///    bit-identical except ±0.0, fixed up by a first-occurrence rescan),
@@ -142,21 +145,37 @@ bool GroupsAreClustered(const uint32_t* groups, size_t n) {
   return changes * 4 <= sample;  // average segment length >= ~4
 }
 
-/// Group-constant spans: segmented when the index layout rewards it,
-/// otherwise per-row spans of length 1. Either way the body sees the same
-/// rows in the same ascending order.
-template <typename Body>
-void ForEachGroupSpan(const Bitset* mask, const uint32_t* groups, size_t n,
-                      bool clustered, Body&& body) {
-  if (clustered) {
-    ForEachGroupSegment(mask, groups, n, body);
-    return;
+/// This backend's selected-row iteration (the `Spans` of query/kernels.h):
+/// group-constant segments when the index layout rewards it, otherwise
+/// per-row spans of length 1. Either way the body sees the same rows in the
+/// same ascending order as the scalar RowSpans, so the one accumulator can
+/// hold a segment's per-group state in registers without changing a bit.
+class SegmentSpans {
+ public:
+  SegmentSpans(const uint32_t* groups, size_t n, const Bitset* mask)
+      : groups_(groups),
+        n_(n),
+        mask_(mask),
+        clustered_(GroupsAreClustered(groups, n)) {}
+
+  template <typename Body>
+  void operator()(Body&& body) const {
+    if (clustered_) {
+      ForEachGroupSegment(mask_, groups_, n_, body);
+      return;
+    }
+    StreamSelected(mask_, n_, [&](size_t row) {
+      const uint32_t g = groups_[row];
+      if (g != kNoGroup) body(g, row, row + 1);
+    });
   }
-  StreamSelected(mask, n, [&](size_t row) {
-    const uint32_t g = groups[row];
-    if (g != kNoGroup) body(g, row, row + 1);
-  });
-}
+
+ private:
+  const uint32_t* groups_;
+  size_t n_;
+  const Bitset* mask_;
+  bool clustered_;
+};
 
 // ---------------------------------------------------------------------------
 // Slice MIN/MAX (order-independent; vector lanes + ±0.0 fix-up)
@@ -309,41 +328,6 @@ SliceFn SliceMaxFn() {
 // Kernel entry points
 // ---------------------------------------------------------------------------
 
-MaterializedValues SimdBuildMaterializedValues(const GroupIndex& index,
-                                               const Bitset* mask,
-                                               const double* view) {
-  // The scalar builder's exact two-pass algorithm over run-decoded
-  // iteration: same rows, same order, byte-identical output.
-  const std::vector<uint32_t>& row_groups = index.row_groups();
-  const size_t n = row_groups.size();
-  const size_t n_groups = index.num_groups();
-  const uint32_t* groups = row_groups.data();
-
-  MaterializedValues m;
-  m.present.assign(n_groups, 0);
-  std::vector<uint32_t> value_count(n_groups, 0);
-  StreamSelected(mask, n, [&](size_t row) {
-    const uint32_t g = groups[row];
-    if (g == kNoGroup) return;
-    ++m.present[g];
-    if (!std::isnan(view[row])) ++value_count[g];
-  });
-  m.offsets.assign(n_groups + 1, 0);
-  for (size_t g = 0; g < n_groups; ++g) {
-    m.offsets[g + 1] = m.offsets[g] + value_count[g];
-  }
-  m.flat.resize(m.offsets[n_groups]);
-  std::vector<size_t> cursor(m.offsets.begin(), m.offsets.end() - 1);
-  StreamSelected(mask, n, [&](size_t row) {
-    const uint32_t g = groups[row];
-    if (g == kNoGroup) return;
-    const double v = view[row];
-    if (std::isnan(v)) return;
-    m.flat[cursor[g]++] = v;
-  });
-  return m;
-}
-
 std::vector<double> SimdAggregateFromMaterialized(AggFunction fn,
                                                   const MaterializedValues& m) {
   const size_t n_groups = m.present.size();
@@ -366,164 +350,6 @@ std::vector<double> SimdAggregateFromMaterialized(AggFunction fn,
                                   m.offsets[g + 1] - m.offsets[g]);
   }
   return feature;
-}
-
-std::vector<double> SimdAggregateStreaming(
-    AggFunction fn, const GroupIndex& index, const Bitset* mask,
-    const double* view, std::vector<uint32_t>* first_selected_row) {
-  // Mirrors the scalar kernel's accumulation exactly; the changes are
-  // run-decoded iteration in place of the per-bit scan and group-constant
-  // segment processing: the grouped scatter (present[g] / sum[g] updates
-  // through the row->group indirection) has no profitable vector form on
-  // AVX2 — there is no scatter instruction — and SUM/AVG/VAR arithmetic
-  // must keep scalar order anyway, but a segment's accumulators can live in
-  // registers for the whole segment. Same values, same order, byte-identical
-  // results.
-  const std::vector<uint32_t>& row_groups = index.row_groups();
-  const size_t n = row_groups.size();
-  const size_t n_groups = index.num_groups();
-  const uint32_t* groups = row_groups.data();
-  std::vector<double> feature(n_groups, Nan());
-  if (first_selected_row) first_selected_row->assign(n_groups, kNoGroup);
-  if (n_groups == 0) return feature;
-  if (mask != nullptr && mask->Count() == 0) return feature;
-
-  std::vector<uint32_t> present(n_groups, 0);
-  std::vector<uint32_t> value_count(n_groups, 0);
-
-  // Presence / first-selected-row bookkeeping per span, then the
-  // aggregate-specific value loop. `on_segment(g, b, e)` sees only non-NaN
-  // handling; it runs iff a value view exists.
-  const bool clustered = GroupsAreClustered(groups, n);
-  auto stream = [&](auto&& on_segment) {
-    ForEachGroupSpan(mask, groups, n, clustered,
-                     [&](uint32_t g, size_t b, size_t e) {
-      if (present[g] == 0 && first_selected_row) {
-        (*first_selected_row)[g] = static_cast<uint32_t>(b);
-      }
-      present[g] += static_cast<uint32_t>(e - b);
-      if (view == nullptr) return;
-      on_segment(g, b, e);
-    });
-  };
-
-  switch (fn) {
-    case AggFunction::kCount: {
-      stream([&](uint32_t g, size_t b, size_t e) {
-        uint32_t vc = 0;
-        for (size_t row = b; row < e; ++row) vc += !std::isnan(view[row]);
-        value_count[g] += vc;
-      });
-      if (view == nullptr) {
-        for (size_t g = 0; g < n_groups; ++g) {
-          if (present[g] > 0) feature[g] = static_cast<double>(present[g]);
-        }
-      } else {
-        for (size_t g = 0; g < n_groups; ++g) {
-          if (present[g] > 0) feature[g] = static_cast<double>(value_count[g]);
-        }
-      }
-      return feature;
-    }
-    case AggFunction::kSum:
-    case AggFunction::kAvg: {
-      std::vector<double> sum(n_groups, 0.0);
-      stream([&](uint32_t g, size_t b, size_t e) {
-        double acc = sum[g];
-        uint32_t vc = value_count[g];
-        for (size_t row = b; row < e; ++row) {
-          const double v = view[row];
-          if (std::isnan(v)) continue;  // null cell
-          ++vc;
-          acc += v;
-        }
-        sum[g] = acc;
-        value_count[g] = vc;
-      });
-      for (size_t g = 0; g < n_groups; ++g) {
-        if (present[g] == 0 || value_count[g] == 0) continue;
-        feature[g] = fn == AggFunction::kSum
-                         ? sum[g]
-                         : sum[g] / static_cast<double>(value_count[g]);
-      }
-      return feature;
-    }
-    case AggFunction::kMin:
-    case AggFunction::kMax: {
-      const bool is_min = fn == AggFunction::kMin;
-      std::vector<double> best(n_groups, 0.0);
-      stream([&](uint32_t g, size_t b, size_t e) {
-        double bst = best[g];
-        uint32_t vc = value_count[g];
-        for (size_t row = b; row < e; ++row) {
-          const double v = view[row];
-          if (std::isnan(v)) continue;  // null cell
-          ++vc;
-          if (vc == 1 || (is_min ? v < bst : v > bst)) bst = v;
-        }
-        best[g] = bst;
-        value_count[g] = vc;
-      });
-      for (size_t g = 0; g < n_groups; ++g) {
-        if (present[g] > 0 && value_count[g] > 0) feature[g] = best[g];
-      }
-      return feature;
-    }
-    case AggFunction::kVar:
-    case AggFunction::kVarSample:
-    case AggFunction::kStd:
-    case AggFunction::kStdSample: {
-      const bool sample =
-          fn == AggFunction::kVarSample || fn == AggFunction::kStdSample;
-      const bool std_dev =
-          fn == AggFunction::kStd || fn == AggFunction::kStdSample;
-      std::vector<double> mean(n_groups, 0.0);
-      stream([&](uint32_t g, size_t b, size_t e) {
-        double acc = mean[g];
-        uint32_t vc = value_count[g];
-        for (size_t row = b; row < e; ++row) {
-          const double v = view[row];
-          if (std::isnan(v)) continue;  // null cell
-          ++vc;
-          acc += v;
-        }
-        mean[g] = acc;
-        value_count[g] = vc;
-      });
-      for (size_t g = 0; g < n_groups; ++g) {
-        if (value_count[g] > 0) mean[g] /= static_cast<double>(value_count[g]);
-      }
-      std::vector<double> ss(n_groups, 0.0);
-      ForEachGroupSpan(mask, groups, n, clustered,
-                       [&](uint32_t g, size_t b, size_t e) {
-        const double m_g = mean[g];
-        double acc = ss[g];
-        for (size_t row = b; row < e; ++row) {
-          const double v = view[row];
-          if (std::isnan(v)) continue;
-          const double d = v - m_g;
-          acc += d * d;
-        }
-        ss[g] = acc;
-      });
-      for (size_t g = 0; g < n_groups; ++g) {
-        const size_t cnt = value_count[g];
-        if (present[g] == 0 || cnt == 0 || (sample && cnt < 2)) continue;
-        const double denom =
-            sample ? static_cast<double>(cnt - 1) : static_cast<double>(cnt);
-        const double var = ss[g] / denom;
-        feature[g] = std_dev ? std::sqrt(var) : var;
-      }
-      return feature;
-    }
-    default:
-      break;
-  }
-
-  // Order-statistic / frequency fallback, as in the scalar kernel.
-  if (first_selected_row) stream([](uint32_t, size_t, size_t) {});
-  return SimdAggregateFromMaterialized(
-      fn, SimdBuildMaterializedValues(index, mask, view));
 }
 
 // ---------------------------------------------------------------------------
@@ -583,8 +409,8 @@ std::vector<double> SimdComputeFeatureKernel(const PlannedCandidate& p) {
   const std::vector<double> per_group =
       p.mat != nullptr
           ? SimdAggregateFromMaterialized(p.query->agg, *p.mat)
-          : SimdAggregateStreaming(p.query->agg, *p.index, p.mask, p.view,
-                                   nullptr);
+          : AggregateStreaming<SegmentSpans>(p.query->agg, *p.index, p.mask,
+                                             p.view, nullptr);
   const std::vector<uint32_t>& train_map = *p.train_map;
   std::vector<double> out(train_map.size(), Nan());
   ScatterPerGroupFn()(per_group.data(), train_map.data(), train_map.size(),
@@ -865,9 +691,10 @@ const KernelOps& SimdKernelOps() {
   static const KernelOps ops = {
       /*backend=*/KernelBackend::kSimd,
       /*level=*/DetectedSimdLevel(),
-      /*aggregate_streaming=*/&SimdAggregateStreaming,
+      /*aggregate_streaming=*/&AggregateStreaming<SegmentSpans>,
+      /*absorb=*/&AbsorbRows<SegmentSpans>,
       /*aggregate_from_materialized=*/&SimdAggregateFromMaterialized,
-      /*build_materialized=*/&SimdBuildMaterializedValues,
+      /*build_materialized=*/&BuildMaterializedValues<SegmentSpans>,
       /*compute_feature=*/&SimdComputeFeatureKernel,
       /*build_filter_mask=*/&SimdBuildFilterMask,
   };

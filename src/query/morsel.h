@@ -2,8 +2,9 @@
 
 /// \file morsel.h
 /// \brief Out-of-core morsel execution: row-range partitioning of the
-/// relevant table, bounded-memory streaming aggregation with deterministic
-/// cross-morsel combiners, and a double-buffered build/combine pipeline.
+/// relevant table, bounded-memory streaming aggregation that carries each
+/// candidate's GroupAccumulator across morsels, and a double-buffered
+/// build/combine pipeline.
 ///
 /// The in-RAM planner path (query/query_planner.h) builds every artifact —
 /// group index row ids, selection masks, value views — over the *whole*
@@ -13,42 +14,35 @@
 /// morsel's artifacts are built over a morsel-local sub-table (columns
 /// gathered by Column::Take, which shares string dictionaries, so predicate
 /// compilation, key encoding, and the SIMD kernels all run unchanged on the
-/// morsel-local row space), and per-candidate **combiners** fold each
-/// morsel's rows into per-group accumulators. Only the in-flight morsels'
-/// artifacts are alive at any time, so peak artifact memory is ~2 morsels
-/// plus the per-group state — never the whole table.
+/// morsel-local row space), and each candidate's GroupAccumulator
+/// (query/group_accumulator.h — the one the single-pass kernels run on)
+/// absorbs each morsel's rows into its per-group state. Only the in-flight
+/// morsels' artifacts are alive at any time, so peak artifact memory is ~2
+/// morsels plus the per-group state — never the whole table.
 ///
 /// **Bit-identity contract.** Morsels are processed strictly in ascending
 /// row order and group ids are assigned first-seen across morsels
-/// (GroupIndexBuilder), so every accumulator sees exactly the value sequence
-/// the single-pass kernels see:
-///  - COUNT/SUM/AVG/MIN/MAX carry their accumulators across morsels
-///    (identical left-to-right float accumulation);
-///  - VAR/STD/KURTOSIS are two-pass in the oracle, so the pipeline runs a
-///    **second sweep**: sweep 1 accumulates sums, then morsel artifacts are
-///    rebuilt deterministically (lookup-only GroupIndexBuilder::MapMorsel)
-///    and squared deviations accumulate against the global means in the
-///    same row order;
-///  - COUNT_DISTINCT/ENTROPY merge per-group ordered value->count maps
-///    (outputs depend only on run counts in ascending value order — exactly
-///    what an ordered map stores);
-///  - MODE/MAD/MEDIAN append per-group value buffers in row order and
-///    finalize through the shared ComputeAggregate oracle.
-/// The result is byte-identical to the single-pass path at every morsel
-/// size and thread count (tests/morsel_test.cc sweeps both).
+/// (GroupIndexBuilder), so each candidate's accumulator absorbs exactly the
+/// row sequence the single-pass kernels feed it, and its arithmetic is the
+/// same code. The only difference is two-pass functions (VAR family,
+/// KURTOSIS): their second pass needs the rows again, so the pipeline runs
+/// a **second sweep** that rebuilds morsel artifacts deterministically
+/// (lookup-only GroupIndexBuilder::MapMorsel). The result is byte-identical
+/// to the single-pass path at every morsel size and thread count
+/// (tests/morsel_test.cc sweeps both).
 ///
-/// **Prefetch pipeline.** While the ThreadPool fans the candidate combiners
-/// out over morsel i, an AsyncStage thread builds morsel i+1's artifacts
-/// (builds are strictly sequential — the group-id assignment order *is* the
-/// determinism contract — so one prefetch thread is the maximum useful
-/// build parallelism). Happens-before chain: build(i) -> Await -> combine(i)
-/// || build(i+1) -> Await -> combine(i+1): combiners only read MorselData
+/// **Prefetch pipeline.** While the ThreadPool fans the candidate
+/// accumulators out over morsel i, an AsyncStage thread builds morsel i+1's
+/// artifacts (builds are strictly sequential — the group-id assignment order
+/// *is* the determinism contract — so one prefetch thread is the maximum
+/// useful build parallelism). Happens-before chain: build(i) -> Await -> combine(i)
+/// || build(i+1) -> Await -> combine(i+1): combines only read MorselData
 /// the preceding Await ordered, and the builder is only mutated by the one
 /// in-flight build.
 ///
 /// **Memory bound.** Each morsel's estimated artifact bytes are charged to
 /// the ExecContext before its build starts and released after its combine,
-/// so a budget bounds the pipeline at ~2 in-flight morsels; combiner-state
+/// so a budget bounds the pipeline at ~2 in-flight morsels; accumulator-state
 /// growth and the finished key maps / per-group features are charged as
 /// they appear. ExecContext::peak_charged_bytes() measures the bound.
 
@@ -79,7 +73,7 @@ struct Morsel {
 ///
 /// Morsels are contiguous, non-empty, cover [0, n_rows) exactly, and are
 /// processed in ascending order — the order every determinism guarantee of
-/// the combiners leans on. The degenerate single-morsel split (morsel_rows
+/// the accumulators leans on. The degenerate single-morsel split (morsel_rows
 /// == 0 or >= n_rows) is the whole table.
 class MorselSet {
  public:
@@ -106,7 +100,8 @@ struct MorselOptions {
   bool prefetch = true;
   /// Pool for the per-candidate combine fan-out; nullptr = serial.
   ThreadPool* pool = nullptr;
-  /// Kernel table for mask builds; nullptr resolves the configured backend.
+  /// Kernel table for mask builds and morsel absorption; nullptr resolves
+  /// the configured backend.
   const KernelOps* ops = nullptr;
   /// Cooperative limits; checked at morsel boundaries and charged per
   /// in-flight morsel. May be null.
@@ -120,7 +115,7 @@ struct MorselExecStats {
   size_t sweeps = 0;
   /// Builds launched on the prefetch thread (overlapped with a combine).
   size_t prefetched_builds = 0;
-  /// Executor-tracked peak of in-flight morsel artifacts + combiner state +
+  /// Executor-tracked peak of in-flight morsel artifacts + accumulator state +
   /// finished key maps and features (same accounting the ExecContext sees).
   size_t peak_artifact_bytes = 0;
   double build_seconds = 0.0;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <optional>
 #include <thread>
 #include <unordered_map>
@@ -96,6 +98,43 @@ std::string ComboKey(const std::vector<std::string>& pred_keys) {
   return out;
 }
 
+// Content fingerprint of the training table's join-key columns. A cached
+// training-row map is reused only while this matches the fingerprint it was
+// built for: the row count alone cannot tell apart two training tables of
+// the same size that one planner sees in turn.
+uint64_t TrainingKeyFingerprint(const Table& training,
+                                const std::vector<std::string>& keys) {
+  uint64_t h = training.num_rows();
+  auto mix = [&h](uint64_t word) {
+    h = (h ^ word) * 0x9E3779B97F4A7C15ull;
+    h ^= h >> 32;
+  };
+  for (const std::string& key : keys) {
+    auto col = training.GetColumn(key);
+    if (!col.ok()) continue;  // MapTrainingRows reports the missing key
+    const Column& c = *col.value();
+    mix(static_cast<uint64_t>(c.type()));
+    for (size_t row = 0; row < c.size(); ++row) {
+      uint64_t word = ~uint64_t{0};  // null cell
+      if (!c.IsNull(row)) {
+        if (c.type() == DataType::kDouble) {
+          const double v = c.DoubleAt(row);
+          std::memcpy(&word, &v, sizeof(word));
+        } else if (c.type() == DataType::kString) {
+          word = static_cast<uint32_t>(c.CodeAt(row));
+        } else {
+          word = static_cast<uint64_t>(c.IntAt(row));
+        }
+      }
+      mix(word);
+    }
+    for (const std::string& s : c.dictionary()) {
+      mix(std::hash<std::string>{}(s));
+    }
+  }
+  return h;
+}
+
 // Bucket key (candidates differing only in agg function share all grouped
 // values), from precomputed parts.
 std::string BucketKey(const std::string& group_key, const std::string& agg_attr,
@@ -124,6 +163,7 @@ struct GroupReq {
   ArtifactStore::GroupArtifact* artifact = nullptr;  // cached or published
   bool need_build = false;
   bool need_train_map = false;  // (re)build the training-row map in stage B
+  uint64_t train_fingerprint = 0;  // TrainingKeyFingerprint of this batch
   std::optional<GroupIndex> built;
   Status error;
   std::optional<std::vector<uint32_t>> built_map;
@@ -440,7 +480,7 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
 
   // ---- Stage membership (computable at compile time: a group built this
   // batch always needs a fresh training-row map; cached ones only when the
-  // map is absent or sized for a different training table). ----
+  // map is absent or was built for different training keys). ----
   std::vector<size_t> a_groups, a_masks, a_views;
   for (size_t gi = 0; gi < groups.size(); ++gi) {
     if (groups[gi].need_build) a_groups.push_back(gi);
@@ -455,8 +495,9 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
   for (size_t gi = 0; gi < groups.size(); ++gi) {
     GroupReq& req = groups[gi];
     if (!req.need_train_map) continue;
+    req.train_fingerprint = TrainingKeyFingerprint(*training, *req.group_keys);
     const bool stale = req.need_build || !req.artifact->has_train_map ||
-                       req.artifact->train_map.size() != training->num_rows();
+                       req.artifact->train_fingerprint != req.train_fingerprint;
     if (stale) b_maps.push_back(gi);
   }
   for (size_t ci = 0; ci < combos.size(); ++ci) {
@@ -640,7 +681,8 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
         if (!isolated) note_error(req.map_error);
         continue;
       }
-      store_.PublishTrainMap(req.artifact, std::move(*req.built_map));
+      store_.PublishTrainMap(req.artifact, std::move(*req.built_map),
+                             req.train_fingerprint);
     }
     for (size_t ci : b_combos) {
       ComboReq& req = combos[ci];

@@ -39,13 +39,19 @@ Status ErrnoStatus(const std::string& what) {
 void Server::Connection::Close() {
   bool expected = false;
   if (closed.compare_exchange_strong(expected, true)) {
-    // Shutdown first so a blocked reader wakes with EOF; close under the
-    // write mutex so no writer races the fd teardown.
-    ::shutdown(fd, SHUT_RDWR);
-    std::lock_guard<std::mutex> lock(write_mu);
-    ::close(fd);
-    fd = -1;
+    // Not under write_mu: the shutdown also unblocks a writer stuck on a
+    // full socket buffer.
+    std::lock_guard<std::mutex> lock(fd_mu);
+    if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
   }
+}
+
+void Server::Connection::Release() {
+  Close();
+  std::lock_guard<std::mutex> write_lock(write_mu);
+  std::lock_guard<std::mutex> fd_lock(fd_mu);
+  ::close(fd);
+  fd = -1;
 }
 
 bool Server::Connection::Write(MessageType type, const std::string& payload) {
@@ -175,11 +181,11 @@ void Server::ReaderLoop(std::shared_ptr<Connection> conn) {
         msg.message = frame.status().ToString();
         conn->Write(MessageType::kError, EncodeErrorMessage(msg));
       }
-      conn->Close();
+      conn->Release();
       return;
     }
     if (!HandleFrame(conn, std::move(frame).ValueOrDie())) {
-      conn->Close();
+      conn->Release();
       return;
     }
   }

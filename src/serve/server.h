@@ -104,12 +104,22 @@ class Server {
   /// shared_ptr-held by the server and by every in-flight batcher
   /// callback, so a response can always be attempted even if the reader
   /// already saw EOF.
+  ///
+  /// The reader thread owns `fd`: it reads it unlocked and is the only
+  /// thread that closes it (Release). Other threads touch it only under a
+  /// mutex — writes under `write_mu`, the wake-up shutdown under `fd_mu` —
+  /// so no thread can use a descriptor number after it was closed and
+  /// possibly reused.
   struct Connection {
     int fd = -1;
     std::mutex write_mu;
+    std::mutex fd_mu;
     std::atomic<bool> closed{false};
 
+    /// Refuses further writes and wakes the reader with EOF; any thread.
     void Close();
+    /// Close() and release the descriptor; the reader thread, as it exits.
+    void Release();
     /// Best-effort framed write; false when the peer is gone.
     bool Write(MessageType type, const std::string& payload);
   };

@@ -55,7 +55,7 @@ TEST(ArtifactStoreTest, GroupArtifactCarriesTrainMap) {
       store.PublishGroup("k", std::move(index).ValueOrDie());
   ASSERT_NE(g, nullptr);
   EXPECT_FALSE(g->has_train_map);
-  store.PublishTrainMap(g, {0u, 1u});
+  store.PublishTrainMap(g, {0u, 1u}, /*train_fingerprint=*/7);
   EXPECT_TRUE(g->has_train_map);
   EXPECT_EQ(store.FindGroup("k"), g);
   EXPECT_EQ(store.FindGroup("k")->train_map.size(), 2u);

@@ -1,9 +1,8 @@
 /// \file augmenter_test.cc
 /// \brief Pins the unified Augmenter / FittedAugmenter API: every method
 /// (FeatAug, MultiTableFeatAug, Random, Featuretools, ARDA, AutoFeature) is
-/// reachable through the same Fit() -> handle contract, the deprecated
-/// Apply shims match Transform byte for byte, feature-name collisions
-/// dedupe deterministically, and serialized plans round-trip into a warm
+/// reachable through the same Fit() -> handle contract, feature-name
+/// collisions dedupe deterministically, and serialized plans round-trip into a warm
 /// serving handle (LoadFittedAugmenter).
 
 #include <gtest/gtest.h>
@@ -146,44 +145,6 @@ TEST(AugmenterTest, BaselinesReachableThroughInterface) {
                                               af_options, {}, FastEval());
   EXPECT_STREQ(autofeature->name(), "autofeature");
   ExpectHandleTransforms(autofeature.get(), bundle.training);
-}
-
-TEST(AugmenterTest, ApplyShimMatchesTransform) {
-  DatasetBundle bundle = MakeTmall(SmallData());
-  FeatAug feataug(bundle.ToProblem(), FastOptions());
-  auto plan = feataug.Fit();
-  ASSERT_TRUE(plan.ok());
-  auto fitted = feataug.MakeFitted(plan.value());
-  ASSERT_TRUE(fitted.ok());
-
-  auto via_shim = feataug.Apply(plan.value(), bundle.training);
-  auto via_handle = fitted.value()->Transform(bundle.training);
-  ASSERT_TRUE(via_shim.ok());
-  ASSERT_TRUE(via_handle.ok());
-  ASSERT_EQ(via_shim.value().num_columns(), via_handle.value().num_columns());
-  for (size_t c = 0; c < via_shim.value().num_columns(); ++c) {
-    EXPECT_EQ(via_shim.value().NameAt(c), via_handle.value().NameAt(c));
-    const Column& a = via_shim.value().ColumnAt(c);
-    const Column& b = via_handle.value().ColumnAt(c);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t r = 0; r < a.size(); ++r) {
-      EXPECT_TRUE(SameBits(a.AsDouble(r), b.AsDouble(r)))
-          << "col " << c << " row " << r;
-    }
-  }
-
-  // The dataset shim agrees with TransformToDataset.
-  auto ds_shim = feataug.ApplyToDataset(plan.value(), bundle.training);
-  auto ds_handle = fitted.value()->TransformToDataset(
-      bundle.training, bundle.label_col, bundle.base_features, bundle.task);
-  ASSERT_TRUE(ds_shim.ok());
-  ASSERT_TRUE(ds_handle.ok());
-  EXPECT_EQ(ds_shim.value().d, ds_handle.value().d);
-  EXPECT_EQ(ds_shim.value().feature_names, ds_handle.value().feature_names);
-  ASSERT_EQ(ds_shim.value().x.size(), ds_handle.value().x.size());
-  for (size_t i = 0; i < ds_shim.value().x.size(); ++i) {
-    EXPECT_TRUE(SameBits(ds_shim.value().x[i], ds_handle.value().x[i]));
-  }
 }
 
 TEST(AugmenterTest, TransformDedupesCollidingFeatureNames) {

@@ -2,6 +2,7 @@
 
 #include "baselines/featuretools.h"
 #include "baselines/selectors.h"
+#include "core/augmenter.h"
 #include "core/feataug.h"
 #include "data/synthetic.h"
 
@@ -47,12 +48,14 @@ TEST(FeatAugTest, EndToEndFitProducesPlan) {
   EXPECT_GT(plan.value().qti_seconds, 0.0);
 }
 
-TEST(FeatAugTest, ApplyAppendsFeatureColumns) {
+TEST(FeatAugTest, TransformAppendsFeatureColumns) {
   DatasetBundle bundle = MakeTmall(SmallData());
   FeatAug feataug(bundle.ToProblem(), FastOptions());
   auto plan = feataug.Fit();
   ASSERT_TRUE(plan.ok());
-  auto augmented = feataug.Apply(plan.value(), bundle.training);
+  auto fitted = feataug.MakeFitted(plan.value());
+  ASSERT_TRUE(fitted.ok());
+  auto augmented = fitted.value()->Transform(bundle.training);
   ASSERT_TRUE(augmented.ok());
   EXPECT_EQ(augmented.value().num_rows(), bundle.training.num_rows());
   EXPECT_EQ(augmented.value().num_columns(),
@@ -62,12 +65,15 @@ TEST(FeatAugTest, ApplyAppendsFeatureColumns) {
   }
 }
 
-TEST(FeatAugTest, ApplyToDatasetMatchesPlanWidth) {
+TEST(FeatAugTest, TransformToDatasetMatchesPlanWidth) {
   DatasetBundle bundle = MakeTmall(SmallData());
   FeatAug feataug(bundle.ToProblem(), FastOptions());
   auto plan = feataug.Fit();
   ASSERT_TRUE(plan.ok());
-  auto ds = feataug.ApplyToDataset(plan.value(), bundle.training);
+  auto fitted = feataug.MakeFitted(plan.value());
+  ASSERT_TRUE(fitted.ok());
+  auto ds = fitted.value()->TransformToDataset(
+      bundle.training, bundle.label_col, bundle.base_features, bundle.task);
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(ds.value().d,
             bundle.base_features.size() + plan.value().queries.size());

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -112,15 +113,16 @@ std::optional<Bitset> MakeMask(Rng* rng, size_t n, double density) {
 
 // ---- Raw kernel parity: every agg kind x mask density x view shape ---------
 
-TEST(KernelDispatchTest, StreamingAndMaterializedParityAcrossDensities) {
-  Rng rng(20260808);
-  // 197 rows: not a multiple of 64, so every mask has a partial tail word.
-  RandomPair pair = MakePair(&rng, 197);
-  auto index_or = GroupIndex::Build(pair.relevant, {"uid", "city"});
+// Sweeps every kernel entry over one relevant table: bucket materialization,
+// streaming (with first-selected-row tracking) and slice aggregation for all
+// 15 functions at each mask density, COUNT(*) without a view, and no mask.
+void ExpectStreamingAndMaterializedParity(const Table& relevant, Rng* rng,
+                                          const std::string& layout) {
+  auto index_or = GroupIndex::Build(relevant, {"uid", "city"});
   ASSERT_TRUE(index_or.ok());
   const GroupIndex& index = index_or.value();
-  std::vector<double> view(pair.relevant.num_rows());
-  auto col = pair.relevant.GetColumn("value");
+  std::vector<double> view(relevant.num_rows());
+  auto col = relevant.GetColumn("value");
   ASSERT_TRUE(col.ok());
   for (size_t r = 0; r < view.size(); ++r) {
     view[r] = col.value()->AsDouble(r);
@@ -130,9 +132,9 @@ TEST(KernelDispatchTest, StreamingAndMaterializedParityAcrossDensities) {
   const KernelOps& simd = SimdKernelOps();
   const double densities[] = {0.0, 0.05, 0.7, 1.0};
   for (double density : densities) {
-    std::optional<Bitset> mask = MakeMask(&rng, view.size(), density);
+    std::optional<Bitset> mask = MakeMask(rng, view.size(), density);
     const Bitset* mask_ptr = &*mask;
-    const std::string ctx = "density=" + std::to_string(density);
+    const std::string ctx = layout + " density=" + std::to_string(density);
 
     // Bucket materialization must match byte for byte: slice lengths vary
     // per group, so flat offsets land on every alignment.
@@ -177,8 +179,36 @@ TEST(KernelDispatchTest, StreamingAndMaterializedParityAcrossDensities) {
     ExpectBitIdentical(
         simd.aggregate_streaming(fn, index, nullptr, view.data(), nullptr),
         scalar.aggregate_streaming(fn, index, nullptr, view.data(), nullptr),
-        std::string("no-mask fn=") + AggFunctionName(fn));
+        layout + " no-mask fn=" + AggFunctionName(fn));
   }
+}
+
+TEST(KernelDispatchTest, StreamingAndMaterializedParityAcrossDensities) {
+  Rng rng(20260808);
+  // 197 rows: not a multiple of 64, so every mask has a partial tail word.
+  // Random keys put consecutive rows in different groups, so the simd table
+  // iterates per-row spans.
+  RandomPair pair = MakePair(&rng, 197);
+  ExpectStreamingAndMaterializedParity(pair.relevant, &rng, "random");
+
+  // Rows sorted by group, as log tables cluster by entity: long same-group
+  // segments send the simd table down its segment-decoded path.
+  RandomPair log = MakePair(&rng, 1013);
+  auto index_or = GroupIndex::Build(log.relevant, {"uid", "city"});
+  ASSERT_TRUE(index_or.ok());
+  const std::vector<uint32_t>& groups = index_or.value().row_groups();
+  std::vector<uint32_t> order(groups.size());
+  for (uint32_t r = 0; r < order.size(); ++r) order[r] = r;
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return groups[a] < groups[b];
+  });
+  const Table clustered = log.relevant.Take(order);
+  size_t segments = 1;
+  for (size_t r = 1; r < order.size(); ++r) {
+    segments += groups[order[r]] != groups[order[r - 1]];
+  }
+  ASSERT_GE(order.size(), 8 * segments) << "average segment length < 8";
+  ExpectStreamingAndMaterializedParity(clustered, &rng, "clustered");
 }
 
 // Slice MIN/MAX at deliberately unaligned offsets and signed-zero ties: the
@@ -275,8 +305,11 @@ TEST(KernelDispatchTest, FilterMaskParityInt64FullRange) {
     if (row % 13 == 5) {
       col.AppendNull();
     } else {
-      col.AppendInt(values[rng.UniformInt(values.size())] +
-                    static_cast<int64_t>(rng.UniformInt(7)));
+      // Wrapping add: offsets past max() wrap to the far negative end
+      // (more extremes) without signed overflow.
+      col.AppendInt(static_cast<int64_t>(
+          static_cast<uint64_t>(values[rng.UniformInt(values.size())]) +
+          rng.UniformInt(7)));
     }
   }
   Table table;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/augmenter.h"
 #include "data/multi_table_data.h"
 #include "query/executor.h"
 #include "stats/stats.h"
@@ -218,14 +219,16 @@ TEST(MultiTableFeatAugTest, ProxyWeightedAllocationSumsToTotalAndProbes) {
   EXPECT_EQ(budget_sum, 10);
 }
 
-TEST(MultiTableFeatAugTest, ApplyAppendsQualifiedFeatures) {
+TEST(MultiTableFeatAugTest, TransformAppendsQualifiedFeatures) {
   MultiTableBundle bundle = MakeInstacartMultiTable(SmallOptions());
   MultiTableProblem problem = MakeProblem(bundle);
   const Table training = problem.training;
   MultiTableFeatAug feataug(std::move(problem), FastMultiOptions());
   auto plan = feataug.Fit();
   ASSERT_TRUE(plan.ok());
-  auto augmented = feataug.Apply(plan.value(), training);
+  auto fitted = feataug.MakeFitted(plan.value());
+  ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
+  auto augmented = fitted.value()->Transform(training);
   ASSERT_TRUE(augmented.ok()) << augmented.status().ToString();
   EXPECT_EQ(augmented.value().num_rows(), training.num_rows());
   EXPECT_EQ(augmented.value().num_columns(),
@@ -242,14 +245,20 @@ TEST(MultiTableFeatAugTest, ApplyAppendsQualifiedFeatures) {
   EXPECT_EQ(qualified, plan.value().total_features);
 }
 
-TEST(MultiTableFeatAugTest, ApplyToDatasetMatchesApply) {
+TEST(MultiTableFeatAugTest, TransformToDatasetMatchesPlanWidth) {
   MultiTableBundle bundle = MakeInstacartMultiTable(SmallOptions());
   MultiTableProblem problem = MakeProblem(bundle);
   const Table training = problem.training;
+  const std::string label_col = problem.label_col;
+  const std::vector<std::string> base_cols = problem.base_feature_cols;
+  const TaskKind task = problem.task;
   MultiTableFeatAug feataug(std::move(problem), FastMultiOptions());
   auto plan = feataug.Fit();
   ASSERT_TRUE(plan.ok());
-  auto ds = feataug.ApplyToDataset(plan.value(), training);
+  auto fitted = feataug.MakeFitted(plan.value());
+  ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
+  auto ds = fitted.value()->TransformToDataset(training, label_col, base_cols,
+                                               task);
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
   // Base features (2) plus every generated feature, aligned to D's rows.
   EXPECT_EQ(ds.value().n, training.num_rows());

@@ -136,6 +136,37 @@ TEST(QueryPlannerTest, SecondIdenticalBatchBuildsNothing) {
   }
 }
 
+// A cached training-row map belongs to one training table: a planner reused
+// over another training table with the same row count but different keys
+// must map the new rows, not serve the first table's features.
+TEST(QueryPlannerTest, ReusedPlannerRemapsSameSizedTrainingTable) {
+  const Pair tables = MakePair();
+  Table reversed;
+  Column rk(DataType::kInt64);
+  for (int i = 14; i >= 0; --i) rk.AppendInt(i);
+  ASSERT_TRUE(reversed.AddColumn("k", std::move(rk)).ok());
+  ASSERT_EQ(reversed.num_rows(), tables.training.num_rows());
+
+  const Predicate pa = Predicate::Equals("dept", Value::Str("a"));
+  const std::vector<AggQuery> queries = {
+      MakeQuery(AggFunction::kSum, {}),
+      MakeQuery(AggFunction::kMedian, {pa}),
+  };
+  const Table* trainings[] = {&tables.training, &reversed};
+  QueryPlanner reused;
+  for (const Table* training : trainings) {
+    auto got = reused.EvaluateMany(queries, *training, tables.relevant);
+    QueryPlanner fresh;
+    auto want = fresh.EvaluateMany(queries, *training, tables.relevant);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ExpectColumnsBitIdentical(got.value()[i], want.value()[i],
+                                training == &reversed ? "reversed" : "first");
+    }
+  }
+}
+
 TEST(QueryPlannerTest, SingletonStreamingCandidateSkipsMaterialization) {
   const Pair tables = MakePair();
   QueryPlanner planner;

@@ -184,7 +184,9 @@ TEST(ServeDaemonTest, SigtermDrainsInFlightThenRefusesNewConnections) {
 
   constexpr int kClients = 4;
   std::vector<Status> results(kClients, Status::Internal("never ran"));
-  std::vector<bool> identical(kClients, false);
+  // One byte per client: std::vector<bool> packs the clients' flags into
+  // shared words, so concurrent writes from the client threads would race.
+  std::vector<char> identical(kClients, 0);
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
