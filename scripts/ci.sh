@@ -2,7 +2,8 @@
 # CI entry point: Release build + full ctest suite, then a ThreadSanitizer
 # build of the concurrency tests. The planner's parallel prepare
 # (build-then-publish into the ArtifactStore), the EvaluateMany fan-out, and
-# concurrent FittedAugmenter::Transform on one shared serving handle are the
+# concurrent FittedAugmenter::Transform on one shared serving handle (map +
+# scatter over per-group values frozen at compile time) are the
 # multi-threaded code; TSan pins the "no locks needed" design of all three.
 set -euo pipefail
 
@@ -18,12 +19,14 @@ ctest --test-dir "$ROOT/build" --output-on-failure -j "$JOBS"
 # (Backend choice is a pure performance knob: the recorded goldens and the
 # dispatch parity sweep must pass byte-identically with either table pinned
 # via the env var. On hosts without a vector ISA "simd" resolves to the
-# run-decoded scalar loops, so the pinned runs stay meaningful everywhere.)
+# run-decoded scalar loops, so the pinned runs stay meaningful everywhere.
+# Serving plans compile only through the morsel executor's absorb entry, so
+# morsel_test and augmenter_test pin that path under both tables too.)
 for backend in scalar simd; do
   echo "ci.sh: golden + parity suite under FEATLIB_KERNEL_BACKEND=$backend"
   FEATLIB_KERNEL_BACKEND="$backend" ctest --test-dir "$ROOT/build" \
     --output-on-failure -j "$JOBS" \
-    -R 'executor_golden_test|executor_parallel_test|kernel_dispatch_test|serving_concurrency_test'
+    -R 'executor_golden_test|executor_parallel_test|kernel_dispatch_test|serving_concurrency_test|morsel_test|augmenter_test'
 done
 
 # ---- Bench record: serving warm-vs-cold + the search-pipeline comparison ---
@@ -200,7 +203,10 @@ done
 # registry load/evict/pin races, batcher coalescing + drain, and the full
 # socket path with 8 concurrent connections and a SIGTERM drain.
 # morsel_test pins the out-of-core pipeline: the AsyncStage prefetch thread
-# writing morsel i+1 while the pool's combine fan-out reads morsel i.)
+# writing morsel i+1 while the pool's combine fan-out reads morsel i.
+# serving_concurrency_test runs concurrent Transform calls on one handle:
+# each maps its batch and scatters the shared frozen per-group values, with
+# no aggregation and no shared mutable state.)
 TSAN_TESTS=(
   executor_golden_test
   executor_parallel_test

@@ -35,13 +35,14 @@ Result<std::unique_ptr<FittedAugmenter>> FittedAugmenter::Create(
       out->valid_metrics_.push_back(
           i < src.valid_metrics.size() ? src.valid_metrics[i] : std::nan(""));
     }
-    // The warm prepare: every relevant-side artifact is built and published
-    // here, once. The planner is never touched again (all serving reads go
-    // through the frozen ServingPlan), which keeps the store's pointers
-    // stable and the handle safe to share across threads.
-    per->planner.set_thread_pool(GlobalThreadPool());
+    // The one aggregation: every feature's per-group values are computed
+    // here and frozen into the plan, which owns all it reads but the
+    // relevant table — so the compiling planner can die with this scope,
+    // and serving is map + scatter, safe to share across threads.
+    QueryPlanner planner;
+    planner.set_thread_pool(GlobalThreadPool());
     FEAT_ASSIGN_OR_RETURN(
-        per->serving, per->planner.CompileServingPlan(src.queries, src.relevant));
+        per->serving, planner.CompileServingPlan(src.queries, src.relevant));
     out->sources_.push_back(std::move(per));
   }
   return std::move(out);
@@ -152,6 +153,31 @@ Result<Dataset> FittedAugmenter::TransformToDataset(
     FEAT_RETURN_NOT_OK(ds.AddFeature(name, columns[i]));
   }
   return ds;
+}
+
+size_t FittedAugmenter::SizeBytes() const {
+  size_t bytes = 0;
+  for (const auto& per : sources_) {
+    const Table& relevant = per->src.relevant;
+    const size_t rows = relevant.num_rows();
+    for (size_t c = 0; c < relevant.num_columns(); ++c) {
+      const Column& col = relevant.ColumnAt(c);
+      bytes += rows;  // validity
+      if (col.type() == DataType::kString) {
+        bytes += rows * sizeof(int32_t);
+        for (const std::string& s : col.dictionary()) bytes += s.size() + 16;
+      } else {
+        bytes += rows * 8;
+      }
+    }
+    for (const auto& index : per->serving.group_indexes) {
+      bytes += index->SizeBytes();
+    }
+    for (const std::vector<double>& values : per->serving.per_group_features) {
+      bytes += values.capacity() * sizeof(double);
+    }
+  }
+  return bytes;
 }
 
 std::vector<AggQuery> FittedAugmenter::AllQueries() const {

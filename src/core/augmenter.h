@@ -14,14 +14,15 @@
 ///   FEAT_ASSIGN_OR_RETURN(auto fitted, aug->Fit());       // fit once
 ///   FEAT_ASSIGN_OR_RETURN(Table out, fitted->Transform(batch));   // many times
 ///
-/// `FittedAugmenter` owns a warm QueryPlanner per relevant table whose
-/// ArtifactStore holds the plan's artifacts (group indexes, predicate
-/// masks, value views, bucket materializations) compiled exactly once at
-/// creation. `Transform` only binds the batch-dependent training-row maps
-/// (call-local) and runs the pure per-candidate kernels, so repeated
-/// serving/HPO batches never re-plan, and concurrent `Transform` calls
-/// from any number of threads are safe and byte-identical to serial
-/// execution (see docs/ARCHITECTURE.md, "API layer").
+/// Every fitted feature is a group-by aggregation over its relevant table
+/// alone, so its per-group values do not depend on the rows being
+/// augmented. `FittedAugmenter` computes them exactly once, at creation,
+/// into one frozen ServingPlan per relevant table (the kernel backend is
+/// resolved then, too). `Transform` is only map + scatter: each batch row
+/// is mapped to its group (call-local training-row maps) and takes that
+/// group's value. No aggregation runs per batch, and concurrent `Transform`
+/// calls from any number of threads are safe and byte-identical to serial
+/// execution (see docs/ARCHITECTURE.md, "The serving handle").
 ///
 /// Implementations: FeatAug (MakeFeatAugAugmenter), MultiTableFeatAug
 /// (MakeMultiTableAugmenter) here; the four baselines (Random,
@@ -73,8 +74,8 @@ struct FitDiagnostics {
 
 /// \brief Long-lived serving handle for a fitted augmentation plan.
 ///
-/// Immutable after Create: all mutable planner state is built there, so
-/// every public method is const and safe to call concurrently from multiple
+/// Immutable after Create: the per-group feature values are frozen there,
+/// so every public method is const and safe to call concurrently from multiple
 /// threads on one shared instance. Outputs are byte-identical to serial
 /// execution at every thread count.
 class FittedAugmenter {
@@ -91,10 +92,11 @@ class FittedAugmenter {
     std::vector<double> valid_metrics;
   };
 
-  /// Compiles every source's queries into a frozen ServingPlan (the warm
-  /// prepare: group indexes, predicate masks, value views and bucket
-  /// materializations are built here, once). Feature names are qualified
-  /// and deduplicated within the plan (suffix rule "_2", "_3", ...).
+  /// Compiles every source's queries into a frozen ServingPlan (the one
+  /// aggregation: per-group feature values and key-map-only group indexes
+  /// are built here, on a planner that does not outlive the call). Feature
+  /// names are qualified and deduplicated within the plan (suffix rule "_2",
+  /// "_3", ...).
   static Result<std::unique_ptr<FittedAugmenter>> Create(
       std::vector<Source> sources, FitDiagnostics diagnostics = {});
 
@@ -102,7 +104,7 @@ class FittedAugmenter {
   /// join-key columns). Names colliding with existing batch columns are
   /// deterministically deduplicated, never an error. Thread-safe. `ctx`
   /// (optional, not owned) imposes cooperative deadline/cancellation/budget
-  /// limits, checked at chunk boundaries of the kernel fan-out.
+  /// limits, checked at chunk boundaries of the scatter fan-out.
   Result<Table> Transform(const Table& batch,
                           const ExecContext* ctx = nullptr) const;
 
@@ -155,7 +157,14 @@ class FittedAugmenter {
   size_t num_sources() const { return sources_.size(); }
   const FitDiagnostics& diagnostics() const { return diag_; }
 
-  /// Pool for the per-call kernel fan-out (and across TransformMany
+  /// Heap bytes the handle keeps resident: each relevant table's columns
+  /// (a validity byte per row plus 8 bytes per value, or a 4-byte code plus
+  /// the dictionary strings), the plans' key-map-only group indexes and
+  /// their per-group feature values. The serving registry charges this
+  /// against its warm byte cap.
+  size_t SizeBytes() const;
+
+  /// Pool for the per-call scatter fan-out (and across TransformMany
   /// batches). Defaults to GlobalThreadPool(); set before sharing the
   /// handle across threads. nullptr = inline execution.
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
@@ -163,8 +172,7 @@ class FittedAugmenter {
  private:
   struct PerSource {
     Source src;
-    QueryPlanner planner;  // frozen after Create (its store holds the plan)
-    ServingPlan serving;
+    ServingPlan serving;  // reads src.relevant, so PerSource never moves
   };
 
   FittedAugmenter() = default;

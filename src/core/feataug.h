@@ -144,8 +144,8 @@ class FeatAug {
   Result<std::unique_ptr<FittedAugmenter>> FitAugmenter();
 
   /// Wraps a plan (from Fit or plan_io) in a serving handle bound to this
-  /// problem's relevant table. The handle owns a warm QueryPlanner whose
-  /// artifacts are compiled once here and reused by every Transform.
+  /// problem's relevant table. The per-group feature values are computed
+  /// once here and reused by every Transform.
   Result<std::unique_ptr<FittedAugmenter>> MakeFitted(
       const AugmentationPlan& plan) const;
 

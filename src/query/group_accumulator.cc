@@ -32,8 +32,6 @@ void GroupAccumulator::Grow(size_t n_groups) {
       return;
     case AggFunction::kCountDistinct:
     case AggFunction::kEntropy:
-      counts_.resize(n_groups);
-      return;
     case AggFunction::kMode:
     case AggFunction::kMad:
     case AggFunction::kMedian:
@@ -104,23 +102,7 @@ std::vector<double> GroupAccumulator::Finish() const {
       });
       break;
     case AggFunction::kCountDistinct:
-      // A selected group with no non-null value has 0 distinct values.
-      fill([&](size_t g, uint32_t) {
-        return static_cast<double>(counts_[g].size());
-      });
-      break;
     case AggFunction::kEntropy:
-      fill([&](size_t g, uint32_t n) {
-        if (n == 0) return Nan();
-        double h = 0.0;
-        for (const auto& [value, count] : counts_[g]) {
-          (void)value;
-          const double p = static_cast<double>(count) / static_cast<double>(n);
-          h -= p * std::log(p);
-        }
-        return h;
-      });
-      break;
     case AggFunction::kMode:
     case AggFunction::kMad:
     case AggFunction::kMedian:
@@ -133,13 +115,8 @@ std::vector<double> GroupAccumulator::Finish() const {
 }
 
 size_t GroupAccumulator::StateBytes() const {
-  // ~rb-tree node: payload + 3 pointers + color word.
-  constexpr size_t kNodeBytes =
-      sizeof(std::pair<const double, uint32_t>) + 4 * sizeof(void*);
   return (present_.size() + value_count_.size()) * sizeof(uint32_t) +
          (acc_.size() + m2_.size() + m4_.size()) * sizeof(double) +
-         counts_.size() * sizeof(std::map<double, uint32_t>) +
-         count_entries_ * kNodeBytes +
          buffers_.size() * sizeof(std::vector<double>) +
          buffered_values_ * sizeof(double);
 }

@@ -14,7 +14,6 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "query/aggregate.h"
@@ -25,12 +24,12 @@ namespace featlib {
 ///
 /// State is per-group tallies (selected rows, non-null values) plus the
 /// function family's accumulators: a running sum (SUM/AVG, and the first
-/// pass of the VAR family and KURTOSIS), a running best (MIN/MAX), an
-/// ordered value->count map (COUNT_DISTINCT/ENTROPY: their outputs depend
-/// only on run counts in ascending value order), or the group's value
-/// buffer (MODE/MAD/MEDIAN, finished through ComputeAggregate). State is
-/// bounded by the number of groups except for the map (distinct values) and
-/// buffer (values) families.
+/// pass of the VAR family and KURTOSIS), a running best (MIN/MAX), or the
+/// group's value buffer (COUNT_DISTINCT/ENTROPY/MODE/MAD/MEDIAN, finished
+/// through ComputeAggregate's sort-based slice aggregates — a flat buffer
+/// per group costs a fraction of a per-value tree node to fill and free).
+/// State is bounded by the number of groups except for the buffer family
+/// (values).
 ///
 /// Absorb may be called any number of times, each call continuing the row
 /// order of the previous one — the morsel executor feeds one morsel per
@@ -114,8 +113,6 @@ class GroupAccumulator {
   std::vector<double> acc_;            // sum / best; group mean in pass 2
   std::vector<double> m2_;             // pass 2: sum of squared deviations
   std::vector<double> m4_;             // pass 2 (KURTOSIS): 4th powers
-  std::vector<std::map<double, uint32_t>> counts_;
-  size_t count_entries_ = 0;
   std::vector<std::vector<double>> buffers_;
   size_t buffered_values_ = 0;
 };
@@ -184,15 +181,6 @@ void GroupAccumulator::Absorb(const double* view, const Spans& spans) {
       return;
     case AggFunction::kCountDistinct:
     case AggFunction::kEntropy:
-      Tally(spans, [&](uint32_t g, size_t b, size_t e) {
-        std::map<double, uint32_t>& counts = counts_[g];
-        return ForEachValue(view, b, e, [&](double v) {
-          auto [it, inserted] = counts.try_emplace(v, 0);
-          ++it->second;
-          if (inserted) ++count_entries_;
-        });
-      });
-      return;
     case AggFunction::kMode:
     case AggFunction::kMad:
     case AggFunction::kMedian:

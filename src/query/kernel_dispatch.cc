@@ -53,7 +53,6 @@ const KernelOps& ScalarKernelOps() {
       /*absorb=*/&AbsorbRows<RowSpans>,
       /*aggregate_from_materialized=*/&AggregateFromMaterialized,
       /*build_materialized=*/&BuildMaterializedValues<RowSpans>,
-      /*compute_feature=*/&ComputeFeatureKernel,
       /*build_filter_mask=*/&ScalarBuildFilterMask,
   };
   return ops;

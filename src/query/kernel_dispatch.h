@@ -10,8 +10,9 @@
 /// them: a `KernelOps` table bundles every kernel entry point the planner
 /// and the morsel executor dispatch through — streaming aggregation,
 /// per-range absorption into a GroupAccumulator, bucket-slice aggregation,
-/// bucket materialization, the full per-candidate feature kernel, and the
-/// predicate-to-mask evaluation of the prepare phase.
+/// bucket materialization, and the predicate-to-mask evaluation of the
+/// prepare phase. The scatter onto training rows that ends every feature
+/// column is backend-neutral (ScatterPerGroup, query/kernels.h).
 ///
 /// Two tables exist:
 ///   - **scalar** — the reference kernels in query/kernels.cc, the
@@ -28,7 +29,7 @@
 /// one GroupAccumulator); the tables differ only in how they iterate the
 /// selected rows (per-bit scan vs run- and group-segment-decoded spans),
 /// which visits the same rows in the same ascending order. The remaining
-/// vectorized entries (slice MIN/MAX, the scatter, mask evaluation) are
+/// vectorized entries (slice MIN/MAX, mask evaluation) are
 /// order-independent and swept against the scalar oracle by
 /// tests/kernel_dispatch_test.cc and the recorded goldens.
 ///
@@ -87,8 +88,6 @@ struct KernelOps {
   MaterializedValues (*build_materialized)(const GroupIndex& index,
                                            const Bitset* mask,
                                            const double* view);
-  /// See ComputeFeatureKernel.
-  std::vector<double> (*compute_feature)(const PlannedCandidate& p);
   /// Evaluates the filter into `out` (pre-sized to the table, all-zero):
   /// sets exactly the bits of rows where CompiledFilter::Matches is true.
   void (*build_filter_mask)(const CompiledFilter& filter, Bitset* out);

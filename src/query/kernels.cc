@@ -26,15 +26,10 @@ std::vector<double> AggregateFromMaterialized(AggFunction fn,
   return feature;
 }
 
-std::vector<double> ComputeFeatureKernel(const PlannedCandidate& p) {
-  const std::vector<double> per_group =
-      p.mat != nullptr
-          ? AggregateFromMaterialized(p.query->agg, *p.mat)
-          : AggregateStreaming<RowSpans>(p.query->agg, *p.index, p.mask,
-                                         p.view, nullptr);
-  const std::vector<uint32_t>& train_map = *p.train_map;
+std::vector<double> ScatterPerGroup(const std::vector<double>& per_group,
+                                    const std::vector<uint32_t>& train_map) {
   std::vector<double> out(train_map.size(), Nan());
-  for (size_t row = 0; row < out.size(); ++row) {
+  for (size_t row = 0; row < train_map.size(); ++row) {
     const uint32_t g = train_map[row];
     if (g != kNoGroup) out[row] = per_group[g];
   }

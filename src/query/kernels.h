@@ -189,10 +189,10 @@ MaterializedValues BuildMaterializedValues(const GroupIndex& index,
 std::vector<double> AggregateFromMaterialized(AggFunction fn,
                                               const MaterializedValues& m);
 
-/// The full per-candidate fan-out kernel of the scalar backend: per-group
-/// aggregation (from the materialized bucket when `p.mat` is set, streaming
-/// otherwise) plus the scatter through the training-row map. Requires
-/// `p.train_map`.
-std::vector<double> ComputeFeatureKernel(const PlannedCandidate& p);
+/// The scatter step every feature column ends with: per-group values through
+/// a training-row map (training row -> group id) into a column aligned to
+/// the training rows, NaN where the row joins no group.
+std::vector<double> ScatterPerGroup(const std::vector<double>& per_group,
+                                    const std::vector<uint32_t>& train_map);
 
 }  // namespace featlib

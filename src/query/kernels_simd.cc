@@ -22,8 +22,8 @@
 ///  - **Order-independent kernels vectorize fully**: MIN/MAX over
 ///    materialized slices (lane-parallel min/max; equal doubles are
 ///    bit-identical except ±0.0, fixed up by a first-occurrence rescan),
-///    predicate compare + movemask for the prepare phase's selection masks,
-///    and the masked-gather scatter through the training-row map.
+///    and predicate compare + movemask for the prepare phase's selection
+///    masks.
 ///
 /// ISA paths are selected at runtime (DetectedSimdLevel): AVX2 functions
 /// carry `__attribute__((target("avx2")))` so this translation unit itself
@@ -353,72 +353,6 @@ std::vector<double> SimdAggregateFromMaterialized(AggFunction fn,
 }
 
 // ---------------------------------------------------------------------------
-// Training-row scatter (gather through the row->group map)
-// ---------------------------------------------------------------------------
-
-using ScatterFn = void (*)(const double*, const uint32_t*, size_t, double*);
-
-void ScatterScalar(const double* per_group, const uint32_t* train_map,
-                   size_t n, double* out) {
-  for (size_t row = 0; row < n; ++row) {
-    const uint32_t g = train_map[row];
-    if (g != kNoGroup) out[row] = per_group[g];
-  }
-}
-
-#if defined(FEATLIB_HAVE_AVX2_PATH)
-
-__attribute__((target("avx2"))) void ScatterAvx2(const double* per_group,
-                                                 const uint32_t* train_map,
-                                                 size_t n, double* out) {
-  // kNoGroup == 0xFFFFFFFF == signed -1: compare picks the mask, and masked
-  // gather lanes are architecturally never dereferenced, so the sentinel
-  // index is safe. `out` arrives NaN-filled; masked lanes keep it.
-  const __m128i no_group = _mm_set1_epi32(-1);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i idx = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(train_map + i));
-    const __m128i valid32 = _mm_xor_si128(_mm_cmpeq_epi32(idx, no_group),
-                                          no_group);  // all-ones where mapped
-    const __m256d lane_mask =
-        _mm256_castsi256_pd(_mm256_cvtepi32_epi64(valid32));
-    const __m256d gathered = _mm256_mask_i32gather_pd(
-        _mm256_loadu_pd(out + i), per_group, idx, lane_mask, 8);
-    _mm256_storeu_pd(out + i, gathered);
-  }
-  for (; i < n; ++i) {
-    const uint32_t g = train_map[i];
-    if (g != kNoGroup) out[i] = per_group[g];
-  }
-}
-
-#endif  // FEATLIB_HAVE_AVX2_PATH
-
-ScatterFn ScatterPerGroupFn() {
-  static const ScatterFn fn = []() -> ScatterFn {
-#if defined(FEATLIB_HAVE_AVX2_PATH)
-    if (DetectedSimdLevel() == SimdLevel::kAvx2) return &ScatterAvx2;
-#endif
-    return &ScatterScalar;
-  }();
-  return fn;
-}
-
-std::vector<double> SimdComputeFeatureKernel(const PlannedCandidate& p) {
-  const std::vector<double> per_group =
-      p.mat != nullptr
-          ? SimdAggregateFromMaterialized(p.query->agg, *p.mat)
-          : AggregateStreaming<SegmentSpans>(p.query->agg, *p.index, p.mask,
-                                             p.view, nullptr);
-  const std::vector<uint32_t>& train_map = *p.train_map;
-  std::vector<double> out(train_map.size(), Nan());
-  ScatterPerGroupFn()(per_group.data(), train_map.data(), train_map.size(),
-                      out.data());
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // Predicate-to-mask evaluation (prepare phase)
 // ---------------------------------------------------------------------------
 
@@ -695,7 +629,6 @@ const KernelOps& SimdKernelOps() {
       /*absorb=*/&AbsorbRows<SegmentSpans>,
       /*aggregate_from_materialized=*/&SimdAggregateFromMaterialized,
       /*build_materialized=*/&BuildMaterializedValues<SegmentSpans>,
-      /*compute_feature=*/&SimdComputeFeatureKernel,
       /*build_filter_mask=*/&SimdBuildFilterMask,
   };
   return ops;

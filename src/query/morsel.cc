@@ -1,7 +1,6 @@
 #include "query/morsel.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <string>
 #include <unordered_map>
@@ -18,10 +17,6 @@
 namespace featlib {
 
 namespace {
-
-constexpr uint32_t kNoGroup = GroupIndex::kNoGroup;
-
-double Nan() { return std::nan(""); }
 
 // ---------------------------------------------------------------------------
 // Compiled batch: artifact specs deduplicated across candidates (same
@@ -73,16 +68,6 @@ MorselSet MorselSet::Split(size_t n_rows, size_t morsel_rows) {
     set.morsels_.push_back(Morsel{begin, std::min(begin + step, n_rows)});
   }
   return set;
-}
-
-std::vector<double> ScatterPerGroup(const std::vector<double>& per_group,
-                                    const std::vector<uint32_t>& train_map) {
-  std::vector<double> out(train_map.size(), Nan());
-  for (size_t row = 0; row < train_map.size(); ++row) {
-    const uint32_t g = train_map[row];
-    if (g != kNoGroup) out[row] = per_group[g];
-  }
-  return out;
 }
 
 Result<MorselResult> ExecuteMorsels(const std::vector<AggQuery>& queries,
@@ -232,12 +217,19 @@ Result<MorselResult> ExecuteMorsels(const std::vector<AggQuery>& queries,
   // on the caller thread or the one prefetch thread.
   auto build_morsel = [&](int sweep, const Morsel& m) -> Result<MorselData> {
     FEAT_RETURN_NOT_OK(FaultPoint("morsel.build"));
-    std::vector<uint32_t> idx(m.rows());
-    std::iota(idx.begin(), idx.end(), static_cast<uint32_t>(m.begin));
-    Table sub;
-    for (const auto& [name, col] : needed_cols) {
-      FEAT_RETURN_NOT_OK(sub.AddColumn(name, col->Take(idx)));
+    // A whole-table morsel (every serving compile at morsel size 0) reads
+    // the relevant table in place; a row range is gathered into a
+    // morsel-local sub-table.
+    const bool whole_table = m.rows() == relevant.num_rows();
+    Table gathered;
+    if (!whole_table) {
+      std::vector<uint32_t> idx(m.rows());
+      std::iota(idx.begin(), idx.end(), static_cast<uint32_t>(m.begin));
+      for (const auto& [name, col] : needed_cols) {
+        FEAT_RETURN_NOT_OK(gathered.AddColumn(name, col->Take(idx)));
+      }
     }
+    const Table& sub = whole_table ? relevant : gathered;
     MorselData md;
     md.rows = m.rows();
     md.row_groups.reserve(group_specs.size());
@@ -369,11 +361,24 @@ Result<MorselResult> ExecuteMorsels(const std::vector<AggQuery>& queries,
     }
   }
 
-  // --- Finalize: per-group features, then the key-map-only group indexes.
-  size_t feature_bytes = 0;
-  for (CandPlan& c : cands) {
-    if (c.failed) continue;
+  // --- Finalize: per-group features (parallel across candidates, like the
+  // combine; each accumulator is freed as soon as it is finished), then the
+  // key-map-only group indexes.
+  auto finish_one = [&](size_t i) {
+    CandPlan& c = cands[i];
+    if (c.failed) return;
     result.per_group[c.slot] = c.acc->Finish();
+    c.acc.reset();
+  };
+  if (options.pool != nullptr) {
+    FEAT_RETURN_NOT_OK(
+        options.pool->ParallelFor(cands.size(), finish_one, 0, ctx));
+  } else {
+    for (size_t i = 0; i < cands.size(); ++i) finish_one(i);
+  }
+  size_t feature_bytes = 0;
+  for (const CandPlan& c : cands) {
+    if (c.failed) continue;
     result.candidate_group[c.slot] = c.group;
     feature_bytes += result.per_group[c.slot].size() * sizeof(double);
   }

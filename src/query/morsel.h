@@ -156,10 +156,4 @@ Result<MorselResult> ExecuteMorsels(const std::vector<AggQuery>& queries,
                                     const MorselOptions& options,
                                     std::vector<Status>* slot_errors = nullptr);
 
-/// The scatter step shared by the fit and serving paths: per-group values
-/// through a training-row map into a feature column (NaN where the row
-/// joins no group).
-std::vector<double> ScatterPerGroup(const std::vector<double>& per_group,
-                                    const std::vector<uint32_t>& train_map);
-
 }  // namespace featlib

@@ -149,6 +149,16 @@ std::string BucketKey(const std::string& group_key, const std::string& agg_attr,
   return out;
 }
 
+// Per-group aggregate values of one prepared candidate through `ops`: from
+// its bucket materialization when it has one, streaming otherwise.
+std::vector<double> AggregatePlanned(const KernelOps& ops,
+                                     const PlannedCandidate& p) {
+  return p.mat != nullptr
+             ? ops.aggregate_from_materialized(p.query->agg, *p.mat)
+             : ops.aggregate_streaming(p.query->agg, *p.index, p.mask, p.view,
+                                       nullptr);
+}
+
 // ---- Compile-time artifact request graph -----------------------------------
 //
 // One request per *distinct* artifact the batch needs; candidates reference
@@ -288,8 +298,11 @@ Result<const QueryPlanner::CompiledShape*> QueryPlanner::ResolveShape(
 
 Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
     const std::vector<AggQuery>& queries, const Table* training,
-    const Table& relevant, bool for_grouped_result, const ExecContext* ctx,
+    const Table& relevant, const ExecContext* ctx,
     std::vector<Status>* slot_errors) {
+  // No training table means ExecuteAggQuery's grouped result: no
+  // training-row maps, and every candidate streams.
+  const bool for_grouped_result = training == nullptr;
   // Isolated mode: per-candidate failures land in slot_errors and the call
   // only fails batch-wide (tripped ctx / exhausted budget). Fail-fast mode
   // (slot_errors == nullptr): the first failure fails the call.
@@ -913,10 +926,10 @@ Result<std::vector<double>> QueryPlanner::ComputeFeatureColumn(
   }
   store_.BeginEpoch();
   FEAT_ASSIGN_OR_RETURN(std::vector<PlannedCandidate> planned,
-                        Prepare(one, &training, relevant,
-                                /*for_grouped_result=*/false, ctx));
+                        Prepare(one, &training, relevant, ctx));
   FEAT_RETURN_NOT_OK(FaultPoint("exec.kernel"));
-  return ops_->compute_feature(planned[0]);
+  return ScatterPerGroup(AggregatePlanned(*ops_, planned[0]),
+                         *planned[0].train_map);
 }
 
 size_t QueryPlanner::ResolvedMorselRows() const {
@@ -929,77 +942,13 @@ Result<std::vector<std::vector<double>>> QueryPlanner::EvaluateManyMorsel(
     const Table& relevant, const ExecContext* ctx,
     std::vector<Status>* slot_errors) {
   WallTimer timer;
-  FEAT_RETURN_NOT_OK(ExecContext::ChargeFor(
-      ctx, queries.size() * training.num_rows() * sizeof(double)));
-  ops_ = &ResolveKernelOps(kernel_backend_);
-  MorselOptions options;
-  options.morsel_rows = ResolvedMorselRows();
-  options.prefetch = morsel_prefetch_;
-  options.pool = pool_;
-  options.ops = ops_;
-  options.ctx = ctx;
-  FEAT_ASSIGN_OR_RETURN(
-      MorselResult streamed,
-      ExecuteMorsels(queries, relevant, options, slot_errors));
-  morsel_stats_ = streamed.stats;
-  plan_stats_ = PlanStats{};
-  plan_stats_.candidates = queries.size();
-  plan_stats_.morsels = streamed.stats.morsels;
+  FEAT_ASSIGN_OR_RETURN(ServingPlan plan, CompileServingPlan(queries, relevant,
+                                                             ctx, slot_errors));
   prepare_seconds_ = timer.Seconds();
-
-  // The batch-dependent step, same as serving: one training-row map per
-  // distinct group index, into call-local storage. A failed map fails every
-  // candidate on that index (isolated) or the batch (fail-fast) — exactly
-  // the in-RAM train-map contract.
   timer.Restart();
-  std::vector<std::vector<uint32_t>> train_maps(streamed.group_indexes.size());
-  std::vector<Status> map_errors(streamed.group_indexes.size());
-  for (size_t gi = 0; gi < streamed.group_indexes.size(); ++gi) {
-    FEAT_RETURN_NOT_OK(ExecContext::CheckFor(ctx));
-    Status st = FaultPoint("prepare.train_map");
-    if (st.ok()) {
-      auto mapped =
-          streamed.group_indexes[gi]->MapTrainingRows(training, relevant);
-      if (mapped.ok()) {
-        train_maps[gi] = std::move(mapped).value();
-      } else {
-        st = mapped.status();
-      }
-    }
-    if (!st.ok()) {
-      if (slot_errors == nullptr) return st;
-      map_errors[gi] = std::move(st);
-    }
-  }
-
-  // Scatter fan-out: disjoint output slots, deterministic at every thread
-  // count (the per-group values are already frozen).
-  std::vector<std::vector<double>> out(queries.size());
-  std::vector<Status> kernel_errors(queries.size());
-  auto run_one = [&](size_t i) {
-    const size_t gi = streamed.candidate_group[i];
-    if (gi == MorselResult::kNoGroupSpec) return;  // isolated slot failure
-    if (!map_errors[gi].ok()) {
-      kernel_errors[i] = map_errors[gi];
-      return;
-    }
-    kernel_errors[i] = FaultPoint("exec.kernel");
-    if (!kernel_errors[i].ok()) return;
-    out[i] = ScatterPerGroup(streamed.per_group[i], train_maps[gi]);
-  };
-  if (pool_ != nullptr) {
-    FEAT_RETURN_NOT_OK(pool_->ParallelFor(queries.size(), run_one, 0, ctx));
-  } else {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      FEAT_RETURN_NOT_OK(ExecContext::CheckFor(ctx));
-      run_one(i);
-    }
-  }
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (kernel_errors[i].ok()) continue;
-    if (slot_errors == nullptr) return std::move(kernel_errors[i]);
-    (*slot_errors)[i] = std::move(kernel_errors[i]);
-  }
+  FEAT_ASSIGN_OR_RETURN(
+      std::vector<std::vector<double>> out,
+      ExecuteServingPlan(plan, training, pool_, ctx, slot_errors));
   aggregate_seconds_ = timer.Seconds();
   return out;
 }
@@ -1016,8 +965,7 @@ Result<std::vector<std::vector<double>>> QueryPlanner::EvaluateMany(
   FEAT_RETURN_NOT_OK(ExecContext::ChargeFor(
       ctx, queries.size() * training.num_rows() * sizeof(double)));
   FEAT_ASSIGN_OR_RETURN(std::vector<PlannedCandidate> planned,
-                        Prepare(queries, &training, relevant,
-                                /*for_grouped_result=*/false, ctx));
+                        Prepare(queries, &training, relevant, ctx));
   prepare_seconds_ = timer.Seconds();
 
   // ---- Fan-out phase: independent pure kernels into pre-sized slots, so
@@ -1027,7 +975,9 @@ Result<std::vector<std::vector<double>>> QueryPlanner::EvaluateMany(
   std::vector<Status> kernel_errors(queries.size());
   auto run_one = [&](size_t i) {
     kernel_errors[i] = FaultPoint("exec.kernel");
-    if (kernel_errors[i].ok()) out[i] = ops_->compute_feature(planned[i]);
+    if (!kernel_errors[i].ok()) return;
+    out[i] = ScatterPerGroup(AggregatePlanned(*ops_, planned[i]),
+                             *planned[i].train_map);
   };
   if (pool_ != nullptr) {
     FEAT_RETURN_NOT_OK(pool_->ParallelFor(planned.size(), run_one, 0, ctx));
@@ -1066,8 +1016,7 @@ QueryPlanner::EvaluateManyIsolated(const std::vector<AggQuery>& queries,
       ctx, queries.size() * training.num_rows() * sizeof(double)));
   std::vector<Status> slot_errors(queries.size());
   FEAT_ASSIGN_OR_RETURN(std::vector<PlannedCandidate> planned,
-                        Prepare(queries, &training, relevant,
-                                /*for_grouped_result=*/false, ctx,
+                        Prepare(queries, &training, relevant, ctx,
                                 &slot_errors));
   prepare_seconds_ = timer.Seconds();
 
@@ -1082,7 +1031,8 @@ QueryPlanner::EvaluateManyIsolated(const std::vector<AggQuery>& queries,
       slot_errors[i] = std::move(injected);
       return;
     }
-    out[i].values = ops_->compute_feature(planned[i]);
+    out[i].values = ScatterPerGroup(AggregatePlanned(*ops_, planned[i]),
+                                    *planned[i].train_map);
   };
   if (pool_ != nullptr) {
     FEAT_RETURN_NOT_OK(pool_->ParallelFor(planned.size(), run_one, 0, ctx));
@@ -1101,132 +1051,96 @@ QueryPlanner::EvaluateManyIsolated(const std::vector<AggQuery>& queries,
 
 Result<ServingPlan> QueryPlanner::CompileServingPlan(
     const std::vector<AggQuery>& queries, const Table& relevant,
-    const ExecContext* ctx) {
+    const ExecContext* ctx, std::vector<Status>* slot_errors) {
+  // The per-group values are frozen here: the relevant table streams once
+  // under the memory bound (one whole-table morsel at size 0), and the plan
+  // keeps only the per-group features plus the key-map-only indexes — never
+  // published into the store, whose consumers expect per-row ids.
+  ops_ = &ResolveKernelOps(kernel_backend_);
+  MorselOptions options;
+  options.morsel_rows = ResolvedMorselRows();
+  options.prefetch = morsel_prefetch_;
+  options.pool = pool_;
+  options.ops = ops_;
+  options.ctx = ctx;
+  FEAT_ASSIGN_OR_RETURN(
+      MorselResult streamed,
+      ExecuteMorsels(queries, relevant, options, slot_errors));
+  morsel_stats_ = streamed.stats;
+  plan_stats_ = PlanStats{};
+  plan_stats_.candidates = queries.size();
+  plan_stats_.morsels = streamed.stats.morsels;
   ServingPlan plan;
+  plan.per_group_features = std::move(streamed.per_group);
+  plan.group_indexes = std::move(streamed.group_indexes);
+  plan.candidate_group = std::move(streamed.candidate_group);
   plan.relevant = &relevant;
-  plan.kernel_backend = kernel_backend_;
-  if (ResolvedMorselRows() != 0) {
-    // Morsel mode freezes the per-group values at compile time: the relevant
-    // table is streamed once under the memory bound, and serving keeps only
-    // the per-group features plus the key-map-only indexes (owned by the
-    // plan — never published into the store, whose consumers expect per-row
-    // ids). Execution degenerates to per-batch map + scatter.
-    ops_ = &ResolveKernelOps(kernel_backend_);
-    MorselOptions options;
-    options.morsel_rows = ResolvedMorselRows();
-    options.prefetch = morsel_prefetch_;
-    options.pool = pool_;
-    options.ops = ops_;
-    options.ctx = ctx;
-    FEAT_ASSIGN_OR_RETURN(MorselResult streamed,
-                          ExecuteMorsels(queries, relevant, options));
-    morsel_stats_ = streamed.stats;
-    plan_stats_ = PlanStats{};
-    plan_stats_.candidates = queries.size();
-    plan_stats_.morsels = streamed.stats.morsels;
-    plan.morsel_streamed = true;
-    plan.per_group_features = std::move(streamed.per_group);
-    plan.owned_indexes = std::move(streamed.group_indexes);
-    plan.candidate_group = std::move(streamed.candidate_group);
-    plan.group_indexes.reserve(plan.owned_indexes.size());
-    for (const auto& index : plan.owned_indexes) {
-      plan.group_indexes.push_back(index.get());
-    }
-    return plan;
-  }
-  morsel_stats_ = MorselExecStats{};
-  store_.BeginEpoch();
-  FEAT_ASSIGN_OR_RETURN(plan.candidates,
-                        Prepare(queries, /*training=*/nullptr, relevant,
-                                /*for_grouped_result=*/false, ctx));
-  std::unordered_map<const GroupIndex*, size_t> distinct;
-  plan.candidate_group.reserve(plan.candidates.size());
-  for (const PlannedCandidate& p : plan.candidates) {
-    auto [it, inserted] = distinct.emplace(p.index, plan.group_indexes.size());
-    if (inserted) plan.group_indexes.push_back(p.index);
-    plan.candidate_group.push_back(it->second);
-  }
   return plan;
 }
 
 Result<std::vector<std::vector<double>>> ExecuteServingPlan(
     const ServingPlan& plan, const Table& batch, ThreadPool* pool,
-    const ExecContext* ctx) {
+    const ExecContext* ctx, std::vector<Status>* slot_errors) {
   if (plan.relevant == nullptr) {
     return Status::InvalidArgument("serving plan was never compiled");
   }
-  if (plan.morsel_streamed) {
-    // Per-group values were frozen at compile time; execution is the map +
-    // scatter tail only. Still const over the plan — concurrent calls share
-    // the frozen vectors read-only.
-    FEAT_RETURN_NOT_OK(ExecContext::ChargeFor(
-        ctx,
-        plan.per_group_features.size() * batch.num_rows() * sizeof(double)));
-    std::vector<std::vector<uint32_t>> train_maps;
-    train_maps.reserve(plan.group_indexes.size());
-    for (const GroupIndex* index : plan.group_indexes) {
-      FEAT_RETURN_NOT_OK(ExecContext::CheckFor(ctx));
-      FEAT_RETURN_NOT_OK(FaultPoint("prepare.train_map"));
-      FEAT_ASSIGN_OR_RETURN(std::vector<uint32_t> map,
-                            index->MapTrainingRows(batch, *plan.relevant));
-      train_maps.push_back(std::move(map));
-    }
-    std::vector<std::vector<double>> out(plan.per_group_features.size());
-    std::vector<Status> scatter_errors(out.size());
-    auto scatter_one = [&](size_t i) {
-      scatter_errors[i] = FaultPoint("exec.kernel");
-      if (!scatter_errors[i].ok()) return;
-      out[i] = ScatterPerGroup(plan.per_group_features[i],
-                               train_maps[plan.candidate_group[i]]);
-    };
-    if (pool != nullptr) {
-      FEAT_RETURN_NOT_OK(pool->ParallelFor(out.size(), scatter_one, 0, ctx));
-    } else {
-      for (size_t i = 0; i < out.size(); ++i) {
-        FEAT_RETURN_NOT_OK(ExecContext::CheckFor(ctx));
-        scatter_one(i);
+  const size_t n = plan.per_group_features.size();
+  FEAT_CHECK(slot_errors == nullptr || slot_errors->size() == n,
+             "slot_errors must be pre-sized to the plan's candidates");
+  FEAT_RETURN_NOT_OK(
+      ExecContext::ChargeFor(ctx, n * batch.num_rows() * sizeof(double)));
+
+  // The only batch-dependent artifacts: one training-row map per group
+  // index, into call-local storage. A failed map fails every candidate on
+  // that index (isolated) or the call (fail-fast).
+  std::vector<std::vector<uint32_t>> train_maps(plan.group_indexes.size());
+  std::vector<Status> map_errors(plan.group_indexes.size());
+  for (size_t gi = 0; gi < plan.group_indexes.size(); ++gi) {
+    FEAT_RETURN_NOT_OK(ExecContext::CheckFor(ctx));
+    Status st = FaultPoint("prepare.train_map");
+    if (st.ok()) {
+      auto mapped =
+          plan.group_indexes[gi]->MapTrainingRows(batch, *plan.relevant);
+      if (mapped.ok()) {
+        train_maps[gi] = std::move(mapped).value();
+      } else {
+        st = mapped.status();
       }
     }
-    for (const Status& s : scatter_errors) FEAT_RETURN_NOT_OK(s);
-    return out;
-  }
-  FEAT_RETURN_NOT_OK(ExecContext::ChargeFor(
-      ctx, plan.candidates.size() * batch.num_rows() * sizeof(double)));
-  // The only batch-dependent artifacts: one training-row map per distinct
-  // group index, built into call-local storage (the shared store is never
-  // touched, which is what makes concurrent execution safe).
-  std::vector<std::vector<uint32_t>> train_maps;
-  train_maps.reserve(plan.group_indexes.size());
-  for (const GroupIndex* index : plan.group_indexes) {
-    FEAT_RETURN_NOT_OK(ExecContext::CheckFor(ctx));
-    FEAT_RETURN_NOT_OK(FaultPoint("prepare.train_map"));
-    FEAT_ASSIGN_OR_RETURN(std::vector<uint32_t> map,
-                          index->MapTrainingRows(batch, *plan.relevant));
-    train_maps.push_back(std::move(map));
-  }
-
-  // Serving dispatches like the fit path: the plan's captured override
-  // first, then FEATLIB_KERNEL_BACKEND / FeatAugConfig at execution time.
-  const KernelOps& ops = ResolveKernelOps(plan.kernel_backend);
-  std::vector<std::vector<double>> out(plan.candidates.size());
-  std::vector<Status> kernel_errors(plan.candidates.size());
-  auto run_one = [&](size_t i) {
-    kernel_errors[i] = FaultPoint("exec.kernel");
-    if (!kernel_errors[i].ok()) return;
-    PlannedCandidate p = plan.candidates[i];
-    p.train_map = &train_maps[plan.candidate_group[i]];
-    out[i] = ops.compute_feature(p);
-  };
-  if (pool != nullptr) {
-    FEAT_RETURN_NOT_OK(pool->ParallelFor(plan.candidates.size(), run_one, 0,
-                                         ctx));
-  } else {
-    for (size_t i = 0; i < plan.candidates.size(); ++i) {
-      FEAT_RETURN_NOT_OK(ExecContext::CheckFor(ctx));
-      run_one(i);
+    if (!st.ok()) {
+      if (slot_errors == nullptr) return st;
+      map_errors[gi] = std::move(st);
     }
   }
-  for (const Status& s : kernel_errors) FEAT_RETURN_NOT_OK(s);
+
+  // Scatter fan-out: disjoint output slots, deterministic at every thread
+  // count (the per-group values are frozen and shared read-only).
+  std::vector<std::vector<double>> out(n);
+  std::vector<Status> scatter_errors(n);
+  auto scatter_one = [&](size_t i) {
+    const size_t gi = plan.candidate_group[i];
+    if (gi == MorselResult::kNoGroupSpec) return;  // isolated compile failure
+    if (!map_errors[gi].ok()) {
+      scatter_errors[i] = map_errors[gi];
+      return;
+    }
+    scatter_errors[i] = FaultPoint("exec.kernel");
+    if (!scatter_errors[i].ok()) return;
+    out[i] = ScatterPerGroup(plan.per_group_features[i], train_maps[gi]);
+  };
+  if (pool != nullptr) {
+    FEAT_RETURN_NOT_OK(pool->ParallelFor(n, scatter_one, 0, ctx));
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      FEAT_RETURN_NOT_OK(ExecContext::CheckFor(ctx));
+      scatter_one(i);
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (scatter_errors[i].ok()) continue;
+    if (slot_errors == nullptr) return std::move(scatter_errors[i]);
+    (*slot_errors)[i] = std::move(scatter_errors[i]);
+  }
   return out;
 }
 
@@ -1236,8 +1150,7 @@ Result<Table> QueryPlanner::ExecuteAggQuery(const AggQuery& q,
   store_.BeginEpoch();
   const std::vector<AggQuery> one(1, q);
   FEAT_ASSIGN_OR_RETURN(std::vector<PlannedCandidate> planned,
-                        Prepare(one, /*training=*/nullptr, relevant,
-                                /*for_grouped_result=*/true, ctx));
+                        Prepare(one, /*training=*/nullptr, relevant, ctx));
   const PlannedCandidate& p = planned[0];
   std::vector<uint32_t> first_selected;
   std::vector<double> per_group = ops_->aggregate_streaming(

@@ -40,9 +40,11 @@
 ///     order, so the store's contents — and every downstream byte — are
 ///     identical at every thread and chunk count.
 ///
-///  3. **Fan-out (parallel)** — the per-candidate kernels (query/kernels.h)
-///     are pure functions over published const artifacts writing pre-sized
-///     output slots; they run on the pool with chunk-claimed scheduling.
+///  3. **Fan-out (parallel)** — each candidate's per-group aggregate (the
+///     backend's kernels, query/kernels.h) then ScatterPerGroup through the
+///     training-row map: pure functions over published const artifacts
+///     writing pre-sized output slots, run on the pool with chunk-claimed
+///     scheduling.
 ///
 /// An instance is bound by content to one (training, relevant) table pair:
 /// its store keys off group-key names and predicate operands, so feeding it
@@ -78,61 +80,49 @@ struct KernelOps;
 
 /// \brief A frozen, batch-independent query plan for repeated serving.
 ///
-/// Every candidate is resolved to store-owned const artifacts (group index,
-/// selection mask, value view or bucket materialization) — everything that
-/// depends only on the *relevant* table. The one batch-dependent artifact,
-/// the training-row map, is deliberately left unbound: ExecuteServingPlan
-/// builds it per incoming batch into call-local storage, so any number of
-/// threads can execute the same ServingPlan concurrently without touching
-/// the planner or its store.
+/// Each FeatAug feature is a group-by aggregation over the relevant table
+/// alone, so its per-group values never depend on the batch it is applied
+/// to. CompileServingPlan computes them once (the morsel pipeline, with the
+/// kernel backend resolved at that moment) and freezes them here; serving a
+/// batch is then only map + scatter: each batch row is mapped to its group
+/// and takes that group's value.
 ///
-/// Validity: the pointers live in the compiling QueryPlanner's store and in
-/// the caller's query vector. They stay valid while (a) the planner and the
-/// query vector outlive the plan and (b) no further Prepare/Evaluate call
-/// runs on that planner (a later publish may evict byte-capped entries).
-/// FittedAugmenter (core/augmenter.h) owns exactly this pairing.
+/// The plan owns everything it reads except `relevant`: no pointer reaches
+/// into the compiling planner or its store, so the plan outlives the
+/// planner, and any number of threads may execute it concurrently.
 struct ServingPlan {
-  /// Per-candidate kernel inputs; `train_map` is null until execution.
-  std::vector<PlannedCandidate> candidates;
-  /// Distinct group indexes referenced by the candidates (first-use order).
-  std::vector<const GroupIndex*> group_indexes;
-  /// candidates[i] reads its training-row map from group_indexes[candidate_group[i]].
-  std::vector<size_t> candidate_group;
-  /// The relevant table the plan was compiled against (not owned). Bound at
-  /// compile time: executing against any other table — even one with the
-  /// same schema — would translate batch keys through the wrong dictionary.
-  const Table* relevant = nullptr;
-  /// Kernel-backend override captured from the compiling planner. kAuto
-  /// defers to FEATLIB_KERNEL_BACKEND / FeatAugConfig at *execution* time,
-  /// so a serving process can steer the backend without recompiling plans.
-  KernelBackend kernel_backend = KernelBackend::kAuto;
-
-  /// \name Morsel-streamed plans (see query/morsel.h).
-  ///
-  /// When the compiling planner resolved a non-zero morsel size, the
-  /// per-group aggregate values were computed at compile time by the
-  /// bounded-memory morsel pipeline and frozen here; executing the plan only
-  /// maps each batch onto them (a per-group lookup — the same final step the
-  /// kernels perform). `candidates` is then empty, `group_indexes` points
-  /// into `owned_indexes` (key-map-only indexes, deliberately never
-  /// published into the planner's store), and per_group_features[i] pairs
-  /// with candidate_group[i] exactly as candidates[i] otherwise would.
-  /// @{
-  bool morsel_streamed = false;
+  /// [candidate][group id] aggregate values (NaN where undefined); empty for
+  /// candidates that failed an isolated compile.
   std::vector<std::vector<double>> per_group_features;
-  std::vector<std::shared_ptr<const GroupIndex>> owned_indexes;
-  /// @}
+  /// Distinct key-map-only group indexes (first-use order): enough to map
+  /// batch rows onto group ids, with no per-row relevant-side ids.
+  std::vector<std::shared_ptr<const GroupIndex>> group_indexes;
+  /// per_group_features[i] is over group_indexes[candidate_group[i]]'s group
+  /// space (MorselResult::kNoGroupSpec for a failed isolated candidate).
+  std::vector<size_t> candidate_group;
+  /// The relevant table the plan was compiled against (not owned; must
+  /// outlive the plan). Batch keys translate through its dictionaries, so
+  /// executing against any other table — even one with the same schema —
+  /// would map rows to the wrong groups.
+  const Table* relevant = nullptr;
 };
 
-/// Executes a frozen serving plan against one batch: builds the batch's
-/// training-row maps locally (one per distinct group index, no store
-/// mutation), then runs the pure per-candidate kernels — on `pool` when
-/// non-null, inline otherwise. Const over the compiling planner and its
-/// store, so concurrent calls on the same plan are thread-safe and
-/// byte-identical to serial execution at every thread count.
+/// Applies a frozen serving plan to one batch: builds one training-row map
+/// per group index into call-local storage, then scatters every candidate's
+/// per-group values through its map (on `pool` when non-null, inline
+/// otherwise). No aggregation runs here. Const over the plan, so concurrent
+/// calls are thread-safe and byte-identical to serial execution at every
+/// thread count.
+///
+/// `slot_errors` selects the failure contract, as in QueryPlanner::Prepare:
+/// nullptr is fail-fast; non-null must be sized to the plan's candidates,
+/// keeps the statuses already in it (isolated compile failures), and
+/// receives each candidate's own map or scatter failure — the call itself
+/// then only fails batch-wide (tripped ctx, exhausted budget).
 Result<std::vector<std::vector<double>>> ExecuteServingPlan(
     const ServingPlan& plan, const Table& batch, ThreadPool* pool = nullptr,
-    const ExecContext* ctx = nullptr);
+    const ExecContext* ctx = nullptr,
+    std::vector<Status>* slot_errors = nullptr);
 
 class QueryPlanner {
  public:
@@ -144,8 +134,8 @@ class QueryPlanner {
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
   /// Kernel backend for every phase this planner dispatches — predicate
-  /// masks, bucket materializations, streaming aggregation, the fan-out
-  /// kernels. kAuto (the default) defers to FEATLIB_KERNEL_BACKEND /
+  /// masks, bucket materializations, streaming aggregation, the serving
+  /// plan's compile. kAuto (the default) defers to FEATLIB_KERNEL_BACKEND /
   /// FeatAugConfig and then to CPU detection (see query/kernel_dispatch.h).
   /// Backends are byte-identical by contract; this is a performance knob
   /// and a test hook, never a semantics switch.
@@ -155,10 +145,12 @@ class QueryPlanner {
   /// Rows per morsel for out-of-core evaluation. 0 (the default) defers to
   /// FEATLIB_MORSEL_ROWS / FeatAugConfig::Global().morsel_rows; when the
   /// resolved value is non-zero, EvaluateMany / EvaluateManyIsolated /
-  /// ComputeFeatureColumn / CompileServingPlan run the bounded-memory morsel
-  /// pipeline (query/morsel.h) instead of whole-table artifact preparation.
-  /// Purely a memory/performance knob: results are byte-identical to the
-  /// in-RAM path at every morsel size and thread count.
+  /// ComputeFeatureColumn run the bounded-memory morsel pipeline
+  /// (query/morsel.h) instead of whole-table artifact preparation.
+  /// CompileServingPlan always runs that pipeline, at this size (0 = the
+  /// whole table as one morsel). Purely a memory/performance knob: results
+  /// are byte-identical to the in-RAM path at every morsel size and thread
+  /// count.
   void set_morsel_rows(size_t rows) { morsel_rows_ = rows; }
   size_t morsel_rows() const { return morsel_rows_; }
 
@@ -249,16 +241,15 @@ class QueryPlanner {
   Result<Table> ExecuteAggQuery(const AggQuery& q, const Table& relevant,
                                 const ExecContext* ctx = nullptr);
 
-  /// Compiles `queries` into a frozen ServingPlan: prepares every
-  /// relevant-side artifact (group indexes, predicate masks, value views,
-  /// bucket materializations) through the store, but binds no training-row
-  /// maps — those are per-batch and built by ExecuteServingPlan. `queries`
-  /// must outlive the returned plan (candidates point into it), and no
-  /// further Prepare/Evaluate call may run on this planner while the plan
-  /// is in use.
-  Result<ServingPlan> CompileServingPlan(const std::vector<AggQuery>& queries,
-                                         const Table& relevant,
-                                         const ExecContext* ctx = nullptr);
+  /// Compiles `queries` into a frozen ServingPlan: streams the relevant
+  /// table once through the morsel pipeline at the resolved morsel size and
+  /// keeps the per-group values and key-map-only group indexes. The store
+  /// is not touched, and the plan stays valid after this planner is gone.
+  /// `slot_errors` follows ExecuteMorsels' contract (nullptr = fail-fast).
+  Result<ServingPlan> CompileServingPlan(
+      const std::vector<AggQuery>& queries, const Table& relevant,
+      const ExecContext* ctx = nullptr,
+      std::vector<Status>* slot_errors = nullptr);
 
   /// The artifact store backing this planner (cap tuning, introspection).
   ArtifactStore& store() { return store_; }
@@ -368,9 +359,8 @@ class QueryPlanner {
   /// override when non-zero, else the config/env resolution. 0 = in-RAM.
   size_t ResolvedMorselRows() const;
 
-  /// The morsel-mode twin of Prepare + fan-out: streams the relevant table
-  /// through ExecuteMorsels, then scatters per-group values through
-  /// batch-local training-row maps. Same slot_errors contract as Prepare.
+  /// The morsel-mode twin of Prepare + fan-out: CompileServingPlan, then
+  /// ExecuteServingPlan on `training`. Same slot_errors contract as Prepare.
   Result<std::vector<std::vector<double>>> EvaluateManyMorsel(
       const std::vector<AggQuery>& queries, const Table& training,
       const Table& relevant, const ExecContext* ctx,
@@ -378,11 +368,11 @@ class QueryPlanner {
 
   /// Compiles `queries` into the artifact DAG, executes the missing builds
   /// stage-parallel on the pool, publishes them, and resolves one
-  /// PlannedCandidate per query. `training` may be null only when
-  /// `for_grouped_result` is set (no training-row maps are built then, and
-  /// candidates always take the streaming path: view instead of bucket
-  /// materialization). Streaming-family aggregates materialize only when
-  /// several candidates of the batch share their bucket.
+  /// PlannedCandidate per query. A null `training` plans ExecuteAggQuery's
+  /// grouped result: no training-row maps are built, and candidates always
+  /// take the streaming path (view instead of bucket materialization).
+  /// Otherwise streaming-family aggregates materialize only when several
+  /// candidates of the batch share their bucket.
   ///
   /// `slot_errors` selects the failure contract: nullptr is fail-fast (the
   /// first compile or build error fails the call); non-null must be sized
@@ -392,8 +382,7 @@ class QueryPlanner {
   /// stage never runs its publish step.
   Result<std::vector<PlannedCandidate>> Prepare(
       const std::vector<AggQuery>& queries, const Table* training,
-      const Table& relevant, bool for_grouped_result,
-      const ExecContext* ctx = nullptr,
+      const Table& relevant, const ExecContext* ctx = nullptr,
       std::vector<Status>* slot_errors = nullptr);
 
   ArtifactStore store_;

@@ -3,7 +3,8 @@
 /// the row-range partition itself, byte-identity of every aggregate against
 /// the single-pass oracle across morsel sizes and thread counts, boundary-
 /// spanning groups, all-null morsels, prefetch on/off equivalence, isolated
-/// per-candidate failure, serving-plan identity, the "morsel.build" /
+/// per-candidate failure, serving-plan identity against the in-RAM
+/// EvaluateMany (empty relevant table included), the "morsel.build" /
 /// "morsel.merge" fault sites, and the bounded-memory guarantee (a budget
 /// the in-RAM path exhausts while the morsel path fits).
 
@@ -384,37 +385,52 @@ TEST(MorselTest, IsolatedInvalidCandidateFailsAloneUnderMorsels) {
 
 // --- Serving plan ------------------------------------------------------------
 
-TEST(MorselTest, ServingPlanMorselStreamedMatchesLegacyExecution) {
+// The frozen serving plan, at every morsel size, inline and on a pool, maps
+// each batch to exactly what a fresh planner's in-RAM EvaluateMany computes
+// for it — including a relevant table with no rows, where every feature is
+// NaN on both sides.
+TEST(MorselTest, ServingPlanMatchesInRamEvaluateMany) {
   Rng rng(615);
   const RandomPair tables = MakeRandomPair(&rng);
   const std::vector<AggQuery> queries = MakeCandidatePool();
+  const Table empty_relevant = tables.relevant.Take({});
+  ASSERT_EQ(empty_relevant.num_rows(), 0u);
 
-  QueryPlanner legacy_planner;
-  auto legacy_plan =
-      legacy_planner.CompileServingPlan(queries, tables.relevant);
-  ASSERT_TRUE(legacy_plan.ok()) << legacy_plan.status().ToString();
-  EXPECT_FALSE(legacy_plan.value().morsel_streamed);
-  auto legacy_out = ExecuteServingPlan(legacy_plan.value(), tables.training);
-  ASSERT_TRUE(legacy_out.ok()) << legacy_out.status().ToString();
+  for (const Table* relevant : {&tables.relevant, &empty_relevant}) {
+    const size_t n = relevant->num_rows();
+    QueryPlanner oracle;
+    auto reference = oracle.EvaluateMany(queries, tables.training, *relevant);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ASSERT_EQ(reference.value().size(), queries.size());
+    if (n == 0) {
+      for (const std::vector<double>& column : reference.value()) {
+        for (double v : column) ASSERT_TRUE(std::isnan(v));
+      }
+    }
 
-  QueryPlanner morsel_planner;
-  morsel_planner.set_morsel_rows(17);
-  auto morsel_plan =
-      morsel_planner.CompileServingPlan(queries, tables.relevant);
-  ASSERT_TRUE(morsel_plan.ok()) << morsel_plan.status().ToString();
-  EXPECT_TRUE(morsel_plan.value().morsel_streamed);
-  EXPECT_TRUE(morsel_plan.value().candidates.empty());
-  ASSERT_EQ(morsel_plan.value().per_group_features.size(), queries.size());
-
-  for (const int threads : {0, 2}) {
-    ThreadPool pool(threads == 0 ? 1 : threads);
-    auto morsel_out = ExecuteServingPlan(
-        morsel_plan.value(), tables.training, threads == 0 ? nullptr : &pool);
-    ASSERT_TRUE(morsel_out.ok()) << morsel_out.status().ToString();
-    ASSERT_EQ(morsel_out.value().size(), queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      ExpectColumnsBitIdentical(morsel_out.value()[i], legacy_out.value()[i],
-                                "serving threads=" + std::to_string(threads));
+    for (const size_t morsel_rows : {size_t{0}, size_t{17}, n}) {
+      for (const int threads : {0, 2}) {
+        ThreadPool pool(threads == 0 ? 1 : threads);
+        ThreadPool* use_pool = threads == 0 ? nullptr : &pool;
+        QueryPlanner planner;
+        planner.set_thread_pool(use_pool);
+        planner.set_morsel_rows(morsel_rows);
+        auto plan = planner.CompileServingPlan(queries, *relevant);
+        ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+        ASSERT_EQ(plan.value().per_group_features.size(), queries.size());
+        auto served =
+            ExecuteServingPlan(plan.value(), tables.training, use_pool);
+        ASSERT_TRUE(served.ok()) << served.status().ToString();
+        ASSERT_EQ(served.value().size(), queries.size());
+        const std::string context = "rows=" + std::to_string(n) +
+                                    " morsel_rows=" +
+                                    std::to_string(morsel_rows) +
+                                    " threads=" + std::to_string(threads);
+        for (size_t i = 0; i < queries.size(); ++i) {
+          ExpectColumnsBitIdentical(served.value()[i], reference.value()[i],
+                                    context + " " + queries[i].CacheKey());
+        }
+      }
     }
   }
 }

@@ -2,8 +2,8 @@
 /// \brief Pins the planner layer of the planner / store / kernel split:
 /// artifact-DAG deduplication and topology (via PlanStats), publish-once
 /// semantics under parallel prepare, determinism of parallel prepare across
-/// thread counts, eviction pinning, and error propagation from staged
-/// builds.
+/// thread counts, eviction pinning, error propagation from staged builds,
+/// and a serving plan outliving the planner that compiled it.
 
 #include <gtest/gtest.h>
 
@@ -400,6 +400,49 @@ TEST(QueryPlannerTest, InvalidCandidatesAreNeverMemoized) {
       planner.EvaluateMany({bad}, tables.training, tables.relevant).ok());
   EXPECT_EQ(planner.compile_cache_size(), 0u);
   EXPECT_EQ(planner.compile_cache_hits(), 0u);
+}
+
+// --- Serving plan lifetime ---------------------------------------------------
+
+// A ServingPlan owns everything it reads but the relevant table: the
+// compiling planner (and its store) and the query vector may die first.
+TEST(QueryPlannerTest, ServingPlanOutlivesItsPlanner) {
+  const Pair tables = MakePair();
+  const Predicate pa = Predicate::Equals("dept", Value::Str("a"));
+  const Predicate pb = Predicate::Range("level", std::nullopt, 2.0);
+  std::vector<AggQuery> queries;
+  for (AggFunction fn : AllAggFunctions()) {
+    queries.push_back(MakeQuery(fn, {}));
+    queries.push_back(MakeQuery(fn, {pa}));
+    queries.push_back(MakeQuery(fn, {pa, pb}));
+  }
+
+  std::optional<ServingPlan> plan;
+  {
+    const std::vector<AggQuery> scoped_queries = queries;
+    QueryPlanner planner;
+    auto compiled = planner.CompileServingPlan(scoped_queries, tables.relevant);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    plan.emplace(std::move(compiled).ValueOrDie());
+  }
+
+  QueryPlanner fresh;
+  auto reference =
+      fresh.EvaluateMany(queries, tables.training, tables.relevant);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  ThreadPool pool(2);
+  for (ThreadPool* use_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    auto served = ExecuteServingPlan(*plan, tables.training, use_pool);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ASSERT_EQ(served.value().size(), queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ExpectColumnsBitIdentical(
+          served.value()[i], reference.value()[i],
+          std::string(use_pool == nullptr ? "inline" : "2 threads") + ", q" +
+              std::to_string(i));
+    }
+  }
 }
 
 // --- Error propagation from staged builds ------------------------------------
