@@ -25,7 +25,7 @@
 #include "core/codec.h"
 #include "core/generator.h"
 #include "core/template_id.h"
-#include "query/executor.h"
+#include "query/query_planner.h"
 #include "stats/stats.h"
 
 namespace featlib {
@@ -107,8 +107,10 @@ int RunMiBinning(const DatasetBundle& b) {
   const int bins = 16;
   PrintHeader("MI binning — " + b.name + " (feature/label MI by strategy)");
   PrintRow("feature", {"quantile", "equi-width"});
+  QueryPlanner planner;
   for (const Candidate& c : candidates) {
-    auto feature = ComputeFeatureColumn(c.query, b.training, b.relevant);
+    auto feature =
+        planner.ComputeFeatureColumn(c.query, b.training, b.relevant);
     if (!feature.ok()) return 1;
     const auto quantile_bins = DiscretizeQuantile(feature.value(), bins);
     const auto width_bins = Discretize(feature.value(), bins);

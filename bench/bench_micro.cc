@@ -35,7 +35,6 @@
 #include "query/bitset.h"
 #include "query/kernel_dispatch.h"
 #include "query/sql_parser.h"
-#include "query/executor.h"
 #include "stats/stats.h"
 
 // The executor speedup record lands at the repo root (set by CMake) so it is
@@ -76,7 +75,7 @@ void BM_GroupByAggregate(benchmark::State& state) {
   q.predicates.clear();
   q.agg = static_cast<AggFunction>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ExecuteAggQuery(q, b.relevant));
+    benchmark::DoNotOptimize(QueryPlanner().ExecuteAggQuery(q, b.relevant));
   }
   state.SetLabel(AggFunctionName(q.agg));
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -92,8 +91,8 @@ BENCHMARK(BM_GroupByAggregate)
 void BM_FeatureMaterialization(benchmark::State& state) {
   const DatasetBundle& b = SharedBundle();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ComputeFeatureColumn(b.golden_query, b.training, b.relevant));
+    benchmark::DoNotOptimize(QueryPlanner().ComputeFeatureColumn(
+        b.golden_query, b.training, b.relevant));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(b.relevant.num_rows()));
@@ -1027,12 +1026,11 @@ int WriteExecutorSpeedupRecord(const char* path,
   // ---- Out-of-core morsel execution (query/morsel.h): a 10× table where
   // whole-table artifacts dominate memory. Measures the peak ExecContext
   // charge of the single-pass path vs the morsel pipeline (the bounded-
-  // memory claim, gated < 0.5 by scripts/ci.sh), byte-identity of every
-  // column, and the build/combine overlap win of the prefetch stage. ----
+  // memory claim, gated < 0.5 by scripts/ci.sh) and byte-identity of every
+  // column. ----
   size_t morsel_peak_bytes = 0;
   size_t morsel_single_pass_peak_bytes = 0;
   bool morsel_bit_identical = true;
-  double morsel_prefetch_speedup = 0.0;
   double morsel_rows_used = 0.0;
   {
     SyntheticOptions big_options;
@@ -1067,21 +1065,11 @@ int WriteExecutorSpeedupRecord(const char* path,
     }
     morsel_single_pass_peak_bytes = single_pass_ctx.peak_charged_bytes();
 
-    auto run_morsel = [&](bool prefetch, const ExecContext* ctx,
-                          double* seconds)
-        -> Result<std::vector<std::vector<double>>> {
-      QueryPlanner planner;
-      planner.set_morsel_rows(morsel_rows);
-      planner.set_morsel_prefetch(prefetch);
-      WallTimer morsel_timer;
-      auto out =
-          planner.EvaluateMany(morsel_queries, big.training, big.relevant, ctx);
-      if (seconds != nullptr) *seconds = morsel_timer.Seconds();
-      return out;
-    };
     ExecContext morsel_ctx;
-    double prefetch_seconds = 0.0;
-    auto morsel_out = run_morsel(true, &morsel_ctx, &prefetch_seconds);
+    QueryPlanner morsel_planner;
+    morsel_planner.set_morsel_rows(morsel_rows);
+    auto morsel_out = morsel_planner.EvaluateMany(
+        morsel_queries, big.training, big.relevant, &morsel_ctx);
     if (!morsel_out.ok()) {
       std::fprintf(stderr, "morsel evaluation failed: %s\n",
                    morsel_out.status().ToString().c_str());
@@ -1095,25 +1083,6 @@ int WriteExecutorSpeedupRecord(const char* path,
         morsel_bit_identical = false;
       }
     }
-    double no_prefetch_seconds = 0.0;
-    auto sequential_out = run_morsel(false, nullptr, &no_prefetch_seconds);
-    if (!sequential_out.ok()) {
-      std::fprintf(stderr, "morsel (prefetch off) evaluation failed: %s\n",
-                   sequential_out.status().ToString().c_str());
-      return 1;
-    }
-    for (size_t i = 0; i < morsel_queries.size(); ++i) {
-      if (!ColumnsBitIdentical(single_out.value()[i],
-                               sequential_out.value()[i])) {
-        morsel_bit_identical = false;
-      }
-    }
-    // >1 when overlapping build(i+1) with combine(i) paid; ~1.0 on a
-    // single-core host (recorded, not gated — the identity claims are the
-    // contract, the overlap is opportunistic).
-    morsel_prefetch_speedup = prefetch_seconds > 0.0
-                                  ? no_prefetch_seconds / prefetch_seconds
-                                  : 0.0;
   }
 
   const double batched_seconds = sweep_seconds.front();  // 1-thread batched
@@ -1211,14 +1180,13 @@ int WriteExecutorSpeedupRecord(const char* path,
       .Add("checkpoint_snapshots", checkpoint_snapshots)
       .Add("checkpoint_plan_identical", checkpoint_plan_identical)
       // Out-of-core morsel execution on the 10× table: peak artifact memory
-      // of the bounded pipeline vs the whole-table single pass, byte-identity
-      // of every column, and the prefetch overlap win.
+      // of the bounded pipeline vs the whole-table single pass and
+      // byte-identity of every column.
       .Add("morsel_rows", morsel_rows_used)
       .Add("morsel_peak_bytes", static_cast<double>(morsel_peak_bytes))
       .Add("morsel_single_pass_peak_bytes",
            static_cast<double>(morsel_single_pass_peak_bytes))
       .Add("morsel_bit_identical", morsel_bit_identical)
-      .Add("morsel_prefetch_speedup", morsel_prefetch_speedup)
       .Add("bit_identical", bit_identical);
   Status write_status = record.WriteTo(path);
   if (!write_status.ok()) {

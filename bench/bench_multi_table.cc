@@ -26,7 +26,6 @@
 #include "core/multi_table.h"
 #include "data/multi_table_data.h"
 #include "ml/evaluator.h"
-#include "query/executor.h"
 
 namespace featlib {
 namespace bench {

@@ -256,7 +256,7 @@ int RunCli(const CliArgs& args) {
   }
 
   // Fit-health summary: how much of the search was absorbed by caches and
-  // how much friction (skipped candidates, build retries) it ran into.
+  // how much friction (skipped candidates) it ran into.
   {
     const AugmentationPlan& p = plan.value();
     const size_t compile_total = p.compile_cache_hits + p.compile_cache_misses;
@@ -265,9 +265,9 @@ int RunCli(const CliArgs& args) {
         "%zu model / %zu proxy cache hits\n",
         p.model_evals, p.proxy_evals, p.model_cache_hits, p.proxy_cache_hits);
     std::printf(
-        "                 %zu failed candidates, %zu build retries, "
+        "                 %zu failed candidates, "
         "plan-compile hit rate %.1f%% (%zu/%zu)\n",
-        p.failed_candidates.size(), p.build_retries,
+        p.failed_candidates.size(),
         compile_total == 0 ? 0.0
                            : 100.0 * static_cast<double>(p.compile_cache_hits) /
                                  static_cast<double>(compile_total),

@@ -20,7 +20,7 @@
 
 #include "core/plan_io.h"
 #include "data/synthetic.h"
-#include "query/executor.h"
+#include "query/query_planner.h"
 #include "query/sql_parser.h"
 
 using namespace featlib;
@@ -68,9 +68,10 @@ int main() {
 
   // Step 4: apply both plans and verify the features agree.
   for (size_t i = 0; i < plan.size(); ++i) {
-    auto original = ComputeFeatureColumn(plan[i], bundle.training, bundle.relevant);
-    auto roundtrip = ComputeFeatureColumn(reloaded.value()[i].query,
-                                          bundle.training, bundle.relevant);
+    auto original = QueryPlanner().ComputeFeatureColumn(
+        plan[i], bundle.training, bundle.relevant);
+    auto roundtrip = QueryPlanner().ComputeFeatureColumn(
+        reloaded.value()[i].query, bundle.training, bundle.relevant);
     if (!original.ok() || !roundtrip.ok()) {
       std::fprintf(stderr, "feature computation failed\n");
       return 1;

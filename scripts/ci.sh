@@ -51,7 +51,7 @@ if [[ -x "$ROOT/build/bench_micro" ]]; then
                kernel_simd_speedup kernel_dispatch_level \
                kernel_simd_bit_identical \
                morsel_peak_bytes morsel_single_pass_peak_bytes \
-               morsel_bit_identical morsel_prefetch_speedup; do
+               morsel_bit_identical; do
     grep -q "\"$field\"" "$ROOT/BENCH_executor.json" || {
       echo "ci.sh: $field missing from BENCH_executor.json" >&2
       exit 1
@@ -85,9 +85,8 @@ if level != "scalar" and speedup < 1.5:
 print(f"ci.sh: kernel_simd_speedup {speedup:.2f} at level {level} (bit-identical)")
 # Out-of-core morsel execution: every streamed column must be byte-identical
 # to the single pass, and the bounded pipeline's peak artifact memory on the
-# 10x table must stay under half the whole-table peak (~2 in-flight morsels
-# + per-group state vs full-table artifacts). The prefetch overlap is
-# recorded, not gated: on a single-core host it is legitimately ~1.0.
+# 10x table must stay under half the whole-table peak (one in-flight morsel
+# + per-group state vs full-table artifacts).
 if not record["morsel_bit_identical"]:
     sys.exit("ci.sh: morsel-streamed columns diverged from the single pass")
 peak = record["morsel_peak_bytes"]
@@ -99,8 +98,7 @@ if ratio >= 0.5:
     sys.exit(f"ci.sh: morsel peak ratio {ratio:.3f} >= 0.5 "
              f"({peak:.0f} / {single:.0f} bytes)")
 print(f"ci.sh: morsel peak {peak/1e6:.2f}MB vs single-pass {single/1e6:.2f}MB "
-      f"(ratio {ratio:.3f} < 0.5), prefetch speedup "
-      f"{record['morsel_prefetch_speedup']:.2f}x (bit-identical)")
+      f"(ratio {ratio:.3f} < 0.5, bit-identical)")
 EOF
 else
   echo "ci.sh: bench_micro not built (google-benchmark missing?)" >&2
@@ -202,8 +200,9 @@ done
 # writer vs destructor drain. The serve_* tests cover the daemon stack:
 # registry load/evict/pin races, batcher coalescing + drain, and the full
 # socket path with 8 concurrent connections and a SIGTERM drain.
-# morsel_test pins the out-of-core pipeline: the AsyncStage prefetch thread
-# writing morsel i+1 while the pool's combine fan-out reads morsel i.
+# morsel_test pins the out-of-core pipeline: the pool's per-candidate
+# combine fan-out reading one morsel's shared artifacts while each task
+# writes only its own accumulator.
 # serving_concurrency_test runs concurrent Transform calls on one handle:
 # each maps its batch and scatters the shared frozen per-group values, with
 # no aggregation and no shared mutable state.)

@@ -141,44 +141,6 @@ class ThreadPool {
   std::vector<std::jthread> workers_;
 };
 
-/// \brief One deferred task on a dedicated thread — the double-buffered
-/// prefetch primitive of the morsel pipeline (query/morsel.cc).
-///
-/// ThreadPool::ParallelFor is not reentrant and serializes concurrent
-/// callers, so a prepare stage cannot overlap a fan-out *on the pool*.
-/// AsyncStage runs exactly one Status-returning task on its own thread:
-/// the pipeline launches "build morsel i+1" here while the pool executes
-/// morsel i's combine, then Await()s before touching the built artifacts.
-///
-/// Happens-before: everything the task wrote is visible to the caller after
-/// Await() returns (thread join). The destructor joins a still-active task
-/// (discarding its Status), so an error-path unwind can never leave the
-/// thread dangling. Launch/Await must alternate and come from one thread;
-/// a thrown task surfaces as a kInternal Status from Await().
-class AsyncStage {
- public:
-  AsyncStage() = default;
-  ~AsyncStage();
-
-  AsyncStage(const AsyncStage&) = delete;
-  AsyncStage& operator=(const AsyncStage&) = delete;
-
-  /// Starts `fn` on the dedicated thread. Requires no task in flight.
-  void Launch(std::function<Status()> fn);
-
-  /// Blocks until the launched task finished and returns its Status.
-  /// Requires an active task.
-  Status Await();
-
-  /// True between Launch() and the matching Await().
-  bool active() const { return active_; }
-
- private:
-  std::thread thread_;
-  Status status_;
-  bool active_ = false;
-};
-
 /// The process-wide shared pool, sized once at first use from
 /// FeatAugConfig::Global() (see common/config.h). Never returns nullptr; a
 /// 1-thread configuration yields a workerless pool that runs inline.

@@ -61,9 +61,8 @@ struct FitDiagnostics {
   size_t generation_model_evals = 0;
   size_t proxy_cache_hits = 0;
   size_t model_cache_hits = 0;
-  /// Planner-side health counters (see AugmentationPlan): retry pressure on
-  /// artifact builds and compile-memo reuse across HPO rounds.
-  size_t build_retries = 0;
+  /// Planner-side health counters (see AugmentationPlan): compile-memo
+  /// reuse across HPO rounds.
   size_t compile_cache_hits = 0;
   size_t compile_cache_misses = 0;
   /// Candidates the search skipped via partial-failure isolation (content

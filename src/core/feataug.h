@@ -89,8 +89,6 @@ struct AugmentationPlan {
   /// work while the hit counters absorb the history.
   size_t proxy_cache_hits = 0;
   size_t model_cache_hits = 0;
-  /// Artifact-build re-attempts taken under the planner's RetryPolicy.
-  size_t build_retries = 0;
   /// Cumulative compile-memo counters of the fit's planner (candidate
   /// resolutions reused across HPO rounds vs derived fresh).
   size_t compile_cache_hits = 0;

@@ -79,101 +79,85 @@ const std::vector<double>* FeatureEvaluator::InsertFeature(
   return &it->second.values;
 }
 
-Result<const std::vector<double>*> FeatureEvaluator::Feature(const AggQuery& q) {
+Result<std::vector<const std::vector<double>*>> FeatureEvaluator::Materialize(
+    const std::vector<AggQuery>& queries, std::vector<Status>* slot_errors) {
   ++feature_epoch_;
-  std::string key = q.CacheKey();
-  auto it = feature_cache_.find(key);
-  if (it != feature_cache_.end()) {
-    it->second.used_epoch = feature_epoch_;
-    return &it->second.values;
-  }
-  FEAT_ASSIGN_OR_RETURN(
-      std::vector<double> values,
-      planner_.ComputeFeatureColumn(q, training_, relevant_, ctx_));
-  return InsertFeature(std::move(key), std::move(values));
-}
-
-Result<std::vector<const std::vector<double>*>> FeatureEvaluator::Features(
-    const std::vector<AggQuery>& queries) {
-  ++feature_epoch_;
+  // Dedup against the cache: hits are pinned for this call, each distinct
+  // miss occupies one planner slot.
+  std::vector<std::string> keys;
+  keys.reserve(queries.size());
   std::vector<AggQuery> missing;
-  std::vector<std::string> missing_keys;
+  std::vector<size_t> missing_slots;
   std::unordered_set<std::string> missing_seen;
-  for (const AggQuery& q : queries) {
-    std::string key = q.CacheKey();
-    auto it = feature_cache_.find(key);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    keys.push_back(queries[i].CacheKey());
+    auto it = feature_cache_.find(keys[i]);
     if (it != feature_cache_.end()) {
       it->second.used_epoch = feature_epoch_;  // pin for this batch
       continue;
     }
-    if (!missing_seen.insert(key).second) continue;
-    missing.push_back(q);
-    missing_keys.push_back(std::move(key));
+    if (!missing_seen.insert(keys[i]).second) continue;
+    missing.push_back(queries[i]);
+    missing_slots.push_back(i);
   }
-  if (!missing.empty()) {
+  // key -> per-candidate failure of an isolated planner batch. Failed
+  // candidates stay out of the cache so a later call re-attempts them.
+  std::unordered_map<std::string, Status> batch_errors;
+  if (!missing.empty() && slot_errors == nullptr) {
     FEAT_ASSIGN_OR_RETURN(
         std::vector<std::vector<double>> columns,
         planner_.EvaluateMany(missing, training_, relevant_, ctx_));
-    for (size_t i = 0; i < missing.size(); ++i) {
-      InsertFeature(std::move(missing_keys[i]), std::move(columns[i]));
+    for (size_t j = 0; j < missing.size(); ++j) {
+      InsertFeature(keys[missing_slots[j]], std::move(columns[j]));
+    }
+  } else if (!missing.empty()) {
+    FEAT_ASSIGN_OR_RETURN(
+        std::vector<QueryPlanner::CandidateResult> results,
+        planner_.EvaluateManyIsolated(missing, training_, relevant_, ctx_));
+    for (size_t j = 0; j < missing.size(); ++j) {
+      const std::string& key = keys[missing_slots[j]];
+      if (results[j].status.ok()) {
+        InsertFeature(key, std::move(results[j].values));
+      } else {
+        batch_errors.emplace(key, std::move(results[j].status));
+      }
     }
   }
-  std::vector<const std::vector<double>*> out;
-  out.reserve(queries.size());
-  for (const AggQuery& q : queries) {
-    out.push_back(&feature_cache_.at(q.CacheKey()).values);
+  std::vector<const std::vector<double>*> out(queries.size(), nullptr);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto hit = feature_cache_.find(keys[i]);
+    if (hit != feature_cache_.end()) {
+      out[i] = &hit->second.values;
+      continue;
+    }
+    auto err = batch_errors.find(keys[i]);
+    FEAT_CHECK(err != batch_errors.end(),
+               "feature batch slot neither cached nor failed");
+    (*slot_errors)[i] = err->second;
   }
   return out;
 }
 
+Result<const std::vector<double>*> FeatureEvaluator::Feature(const AggQuery& q) {
+  FEAT_ASSIGN_OR_RETURN(std::vector<const std::vector<double>*> values,
+                        Materialize({q}, /*slot_errors=*/nullptr));
+  return values[0];
+}
+
+Result<std::vector<const std::vector<double>*>> FeatureEvaluator::Features(
+    const std::vector<AggQuery>& queries) {
+  return Materialize(queries, /*slot_errors=*/nullptr);
+}
+
 Result<std::vector<FeatureEvaluator::FeatureSlot>>
 FeatureEvaluator::FeaturesIsolated(const std::vector<AggQuery>& queries) {
-  ++feature_epoch_;
-  // Same dedup-against-cache pass as Features(); cache hits resolve
-  // immediately, each distinct miss occupies one planner slot.
-  std::vector<AggQuery> missing;
-  std::vector<std::string> missing_keys;
-  std::unordered_set<std::string> missing_seen;
-  for (const AggQuery& q : queries) {
-    std::string key = q.CacheKey();
-    auto it = feature_cache_.find(key);
-    if (it != feature_cache_.end()) {
-      it->second.used_epoch = feature_epoch_;  // pin for this batch
-      continue;
-    }
-    if (!missing_seen.insert(key).second) continue;
-    missing.push_back(q);
-    missing_keys.push_back(std::move(key));
-  }
-  // key -> per-candidate outcome of the planner batch. Failed candidates
-  // stay out of the cache so a later call re-attempts them from scratch.
-  std::unordered_map<std::string, Status> batch_errors;
-  if (!missing.empty()) {
-    FEAT_ASSIGN_OR_RETURN(
-        std::vector<QueryPlanner::CandidateResult> results,
-        planner_.EvaluateManyIsolated(missing, training_, relevant_, ctx_));
-    for (size_t i = 0; i < missing.size(); ++i) {
-      if (results[i].status.ok()) {
-        InsertFeature(std::move(missing_keys[i]),
-                      std::move(results[i].values));
-      } else {
-        batch_errors.emplace(std::move(missing_keys[i]),
-                             std::move(results[i].status));
-      }
-    }
-  }
+  std::vector<Status> slot_errors(queries.size());
+  FEAT_ASSIGN_OR_RETURN(std::vector<const std::vector<double>*> values,
+                        Materialize(queries, &slot_errors));
   std::vector<FeatureSlot> out(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    const std::string key = queries[i].CacheKey();
-    auto hit = feature_cache_.find(key);
-    if (hit != feature_cache_.end()) {
-      out[i].values = &hit->second.values;
-    } else {
-      auto err = batch_errors.find(key);
-      FEAT_CHECK(err != batch_errors.end(),
-                 "isolated batch slot neither cached nor failed");
-      out[i].status = err->second;
-    }
+    out[i].status = std::move(slot_errors[i]);
+    out[i].values = values[i];
   }
   return out;
 }

@@ -12,7 +12,6 @@
 
 #include "ml/evaluator.h"
 #include "query/query_planner.h"
-#include "query/executor.h"
 
 namespace featlib {
 
@@ -149,17 +148,24 @@ class FeatureEvaluator {
   void set_exec_context(const ExecContext* ctx) { ctx_ = ctx; }
   const ExecContext* exec_context() const { return ctx_; }
 
-  /// \name Out-of-core morsel streaming (query/morsel.h), forwarded to the
-  /// shared planner. 0 rows (the default) keeps the in-RAM artifact path;
-  /// non-zero streams every uncached materialization below this point in
+  /// Out-of-core morsel streaming (query/morsel.h), forwarded to the shared
+  /// planner. 0 rows (the default) keeps the in-RAM artifact path; non-zero
+  /// streams every uncached materialization below this point in
   /// bounded-memory morsels (bit-identical results).
-  /// @{
   void set_morsel_rows(size_t rows) { planner_.set_morsel_rows(rows); }
-  void set_morsel_prefetch(bool on) { planner_.set_morsel_prefetch(on); }
-  /// @}
 
  private:
   FeatureEvaluator() = default;
+
+  /// The dedup-against-cache pass behind Feature, Features and
+  /// FeaturesIsolated: opens an epoch, pins every cache hit, evaluates each
+  /// distinct miss in one planner batch and caches the results. Returns one
+  /// cache pointer per query. `slot_errors` selects the planner contract:
+  /// nullptr is fail-fast (EvaluateMany); non-null must be sized to
+  /// `queries` and takes each failed candidate's Status, leaving its pointer
+  /// null (EvaluateManyIsolated). Failed candidates are never cached.
+  Result<std::vector<const std::vector<double>*>> Materialize(
+      const std::vector<AggQuery>& queries, std::vector<Status>* slot_errors);
 
   /// Builds base + query features dataset rows for the given split rows.
   Result<Dataset> BuildDataset(const std::vector<AggQuery>& queries,

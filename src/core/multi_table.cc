@@ -276,7 +276,6 @@ Result<std::unique_ptr<FittedAugmenter>> MultiTableFeatAug::MakeFitted(
     diag.generation_model_evals += tp.plan.generation_model_evals;
     diag.proxy_cache_hits += tp.plan.proxy_cache_hits;
     diag.model_cache_hits += tp.plan.model_cache_hits;
-    diag.build_retries += tp.plan.build_retries;
     diag.compile_cache_hits += tp.plan.compile_cache_hits;
     diag.compile_cache_misses += tp.plan.compile_cache_misses;
     diag.failed_candidates.insert(diag.failed_candidates.end(),

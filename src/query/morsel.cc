@@ -212,9 +212,9 @@ Result<MorselResult> ExecuteMorsels(const std::vector<AggQuery>& queries,
     return Status::OK();
   };
 
-  // --- Build one morsel's artifacts. Builds are strictly sequential (the
-  // group-id first-seen order across morsels is the determinism contract),
-  // on the caller thread or the one prefetch thread.
+  // --- Build one morsel's artifacts on the calling thread. Builds are
+  // strictly sequential: the group-id first-seen order across morsels is the
+  // determinism contract.
   auto build_morsel = [&](int sweep, const Morsel& m) -> Result<MorselData> {
     FEAT_RETURN_NOT_OK(FaultPoint("morsel.build"));
     // A whole-table morsel (every serving compile at morsel size 0) reads
@@ -294,56 +294,21 @@ Result<MorselResult> ExecuteMorsels(const std::vector<AggQuery>& queries,
     return Status::OK();
   };
 
-  // --- The pipeline: for each sweep, run morsels in order; while morsel i
-  // combines on the pool, the AsyncStage thread builds morsel i+1
-  // (double-buffered: at most two morsels' artifacts in flight, each
-  // charged while in flight).
+  // --- The sweep: morsels in ascending order, each charged, built,
+  // combined and released before the next one starts.
   auto run_sweep = [&](int sweep) -> Status {
-    // Declared before the stage so the stage's destructor (which joins a
-    // still-active build on an error-path unwind) runs first — the prefetch
-    // thread writes `next`.
-    MorselData cur;
-    MorselData next;
-    AsyncStage stage;
-    FEAT_RETURN_NOT_OK(charge_tracked(estimate_bytes(set[0].rows())));
-    {
-      WallTimer timer;
-      FEAT_ASSIGN_OR_RETURN(cur, build_morsel(sweep, set[0]));
-      stats.build_seconds += timer.Seconds();
-    }
-    for (size_t i = 0; i < set.size(); ++i) {
+    for (const Morsel& m : set.morsels()) {
       FEAT_RETURN_NOT_OK(ExecContext::CheckFor(ctx));
-      bool launched = false;
-      if (i + 1 < set.size()) {
-        FEAT_RETURN_NOT_OK(charge_tracked(estimate_bytes(set[i + 1].rows())));
-        const Morsel next_morsel = set[i + 1];
-        if (options.prefetch) {
-          stage.Launch([&, sweep, next_morsel]() -> Status {
-            WallTimer timer;
-            FEAT_ASSIGN_OR_RETURN(next, build_morsel(sweep, next_morsel));
-            stats.build_seconds += timer.Seconds();  // ordered by Await join
-            return Status::OK();
-          });
-          ++stats.prefetched_builds;
-          launched = true;
-        } else {
-          WallTimer timer;
-          FEAT_ASSIGN_OR_RETURN(next, build_morsel(sweep, next_morsel));
-          stats.build_seconds += timer.Seconds();
-        }
-      }
-      WallTimer combine_timer;
-      Status combine_st = combine_morsel(sweep, cur);
-      stats.combine_seconds += combine_timer.Seconds();
-      release_tracked(estimate_bytes(set[i].rows()));
-      if (launched) {
-        Status built = stage.Await();
-        if (combine_st.ok()) combine_st = std::move(built);
-      }
-      FEAT_RETURN_NOT_OK(combine_st);
+      const size_t morsel_bytes = estimate_bytes(m.rows());
+      FEAT_RETURN_NOT_OK(charge_tracked(morsel_bytes));
+      WallTimer timer;
+      FEAT_ASSIGN_OR_RETURN(MorselData md, build_morsel(sweep, m));
+      stats.build_seconds += timer.Seconds();
+      timer.Restart();
+      FEAT_RETURN_NOT_OK(combine_morsel(sweep, md));
+      stats.combine_seconds += timer.Seconds();
+      release_tracked(morsel_bytes);
       FEAT_RETURN_NOT_OK(charge_state_growth());
-      cur = std::move(next);
-      next = MorselData();
     }
     return Status::OK();
   };

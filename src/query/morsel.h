@@ -2,9 +2,8 @@
 
 /// \file morsel.h
 /// \brief Out-of-core morsel execution: row-range partitioning of the
-/// relevant table, bounded-memory streaming aggregation that carries each
-/// candidate's GroupAccumulator across morsels, and a double-buffered
-/// build/combine pipeline.
+/// relevant table and bounded-memory streaming aggregation that carries each
+/// candidate's GroupAccumulator across morsels, one morsel at a time.
 ///
 /// The in-RAM planner path (query/query_planner.h) builds every artifact —
 /// group index row ids, selection masks, value views — over the *whole*
@@ -16,9 +15,9 @@
 /// compilation, key encoding, and the SIMD kernels all run unchanged on the
 /// morsel-local row space), and each candidate's GroupAccumulator
 /// (query/group_accumulator.h — the one the single-pass kernels run on)
-/// absorbs each morsel's rows into its per-group state. Only the in-flight
-/// morsels' artifacts are alive at any time, so peak artifact memory is ~2
-/// morsels plus the per-group state — never the whole table.
+/// absorbs each morsel's rows into its per-group state. Only one morsel's
+/// artifacts are alive at any time, so peak artifact memory is one morsel
+/// plus the per-group state — never the whole table.
 ///
 /// **Bit-identity contract.** Morsels are processed strictly in ascending
 /// row order and group ids are assigned first-seen across morsels
@@ -31,18 +30,14 @@
 /// to the single-pass path at every morsel size and thread count
 /// (tests/morsel_test.cc sweeps both).
 ///
-/// **Prefetch pipeline.** While the ThreadPool fans the candidate
-/// accumulators out over morsel i, an AsyncStage thread builds morsel i+1's
-/// artifacts (builds are strictly sequential — the group-id assignment order
-/// *is* the determinism contract — so one prefetch thread is the maximum
-/// useful build parallelism). Happens-before chain: build(i) -> Await -> combine(i)
-/// || build(i+1) -> Await -> combine(i+1): combines only read MorselData
-/// the preceding Await ordered, and the builder is only mutated by the one
-/// in-flight build.
+/// **The sweep.** Each sweep is one sequential loop over the morsels:
+/// charge, build, combine, release. Builds run on the calling thread — the
+/// group-id assignment order *is* the determinism contract — and only the
+/// combine fans out over the ThreadPool, one task per candidate.
 ///
 /// **Memory bound.** Each morsel's estimated artifact bytes are charged to
 /// the ExecContext before its build starts and released after its combine,
-/// so a budget bounds the pipeline at ~2 in-flight morsels; accumulator-state
+/// so a budget bounds the pipeline at one in-flight morsel; accumulator-state
 /// growth and the finished key maps / per-group features are charged as
 /// they appear. ExecContext::peak_charged_bytes() measures the bound.
 
@@ -95,9 +90,6 @@ class MorselSet {
 struct MorselOptions {
   /// Rows per morsel; 0 = whole table as one morsel.
   size_t morsel_rows = 0;
-  /// Overlap morsel i+1's artifact build with morsel i's combine on a
-  /// dedicated AsyncStage thread. Off = fully sequential (same bytes).
-  bool prefetch = true;
   /// Pool for the per-candidate combine fan-out; nullptr = serial.
   ThreadPool* pool = nullptr;
   /// Kernel table for mask builds and morsel absorption; nullptr resolves
@@ -113,8 +105,6 @@ struct MorselExecStats {
   size_t morsels = 0;
   /// 1, or 2 when a two-pass aggregate (VAR family / KURTOSIS) re-streamed.
   size_t sweeps = 0;
-  /// Builds launched on the prefetch thread (overlapped with a combine).
-  size_t prefetched_builds = 0;
   /// Executor-tracked peak of in-flight morsel artifacts + accumulator state +
   /// finished key maps and features (same accounting the ExecContext sees).
   size_t peak_artifact_bytes = 0;
@@ -142,8 +132,8 @@ struct MorselResult {
 };
 
 /// Runs the full morsel pipeline over `queries`: compile (dedup group /
-/// filter / view specs), then per sweep the sequential build + parallel
-/// combine pipeline with double-buffered prefetch, then finalize.
+/// filter / view specs), then per sweep a sequential build and a parallel
+/// combine of each morsel in turn, then finalize.
 ///
 /// Failure contract mirrors QueryPlanner: with `slot_errors` == nullptr the
 /// first failure fails the call; otherwise `slot_errors` must be pre-sized

@@ -1,12 +1,10 @@
 #include "query/query_planner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -23,48 +21,12 @@ namespace {
 
 constexpr uint32_t kNoGroup = GroupIndex::kNoGroup;
 
-// Transient failure classes worth re-attempting under the RetryPolicy.
-// kInvalidArgument/kNotFound describe the query shape and can never heal.
-bool IsRetryable(const Status& s) {
-  return s.code() == StatusCode::kInternal || s.code() == StatusCode::kIOError;
-}
-
-// Per-request jitter token: a cheap FNV-1a over the artifact's cache key
-// mixed with the site name, so two requests retrying in lockstep draw
-// different (but each deterministic) delays.
-uint64_t RetryToken(const char* site, const std::string& key) {
-  uint64_t h = 1469598103934665603ull;
-  for (const char* p = site; *p != '\0'; ++p) {
-    h = (h ^ static_cast<unsigned char>(*p)) * 1099511628211ull;
-  }
-  for (char c : key) {
-    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
-  }
-  return h;
-}
-
 // Runs one artifact build (`body` returns its Status, storing the built
-// value on success) behind a named fault-injection site, re-attempting
-// transient failures per `retry`. `*retries` counts the re-attempts taken;
-// it lives in the request struct (workers touch disjoint requests), and the
-// coordinator sums them into PlanStats after the stages join. `token`
-// decorrelates the jittered sleeps of concurrent failers.
+// value on success) behind a named fault-injection site.
 template <typename Body>
-Status BuildWithRetry(const char* site, const QueryPlanner::RetryPolicy& retry,
-                      uint64_t token, int* retries, const Body& body) {
-  Status last;
-  for (int attempt = 0;; ++attempt) {
-    Status s = FaultPoint(site);
-    if (s.ok()) s = body();
-    if (s.ok()) return s;
-    last = std::move(s);
-    if (!IsRetryable(last) || attempt + 1 >= retry.max_attempts) return last;
-    ++*retries;
-    const int delay = QueryPlanner::RetryDelayMs(retry, attempt, token);
-    if (delay > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-    }
-  }
+Status GuardedBuild(const char* site, const Body& body) {
+  FEAT_RETURN_NOT_OK(FaultPoint(site));
+  return body();
 }
 
 // Aggregates whose one-pass streaming kernel accumulates directly into
@@ -159,6 +121,37 @@ std::vector<double> AggregatePlanned(const KernelOps& ops,
                                        nullptr);
 }
 
+// The per-candidate fan-out shared by the in-RAM evaluate body and
+// ExecuteServingPlan: runs body(i) for each of `n` candidates into disjoint
+// slots, on `pool` when non-null and inline otherwise. `slot_errors` is the
+// planner's failure contract: nullptr returns the first failing body's
+// Status (by index); non-null skips candidates whose slot already failed
+// and records each new failure in its own slot. Only a tripped ctx fails
+// the call then.
+template <typename Body>
+Status FanOut(size_t n, ThreadPool* pool, const ExecContext* ctx,
+              std::vector<Status>* slot_errors, const Body& body) {
+  std::vector<Status> errors(n);
+  auto run_one = [&](size_t i) {
+    if (slot_errors != nullptr && !(*slot_errors)[i].ok()) return;
+    errors[i] = body(i);
+  };
+  if (pool != nullptr) {
+    FEAT_RETURN_NOT_OK(pool->ParallelFor(n, run_one, 0, ctx));
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      FEAT_RETURN_NOT_OK(ExecContext::CheckFor(ctx));
+      run_one(i);
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (errors[i].ok()) continue;
+    if (slot_errors == nullptr) return std::move(errors[i]);
+    (*slot_errors)[i] = std::move(errors[i]);
+  }
+  return Status::OK();
+}
+
 // ---- Compile-time artifact request graph -----------------------------------
 //
 // One request per *distinct* artifact the batch needs; candidates reference
@@ -178,7 +171,6 @@ struct GroupReq {
   Status error;
   std::optional<std::vector<uint32_t>> built_map;
   Status map_error;
-  int retries = 0;
 };
 
 struct MaskReq {  // one non-trivial WHERE predicate
@@ -187,7 +179,6 @@ struct MaskReq {  // one non-trivial WHERE predicate
   const Bitset* bits = nullptr;  // cached or published
   std::optional<Bitset> built;
   Status error;
-  int retries = 0;
 };
 
 struct ComboReq {  // conjunction of >= 2 predicates (depends on MaskReqs)
@@ -202,7 +193,6 @@ struct ComboReq {  // conjunction of >= 2 predicates (depends on MaskReqs)
   size_t count = 0;
   bool count_valid = false;
   Status error;
-  int retries = 0;
 };
 
 struct ViewReq {  // numeric value view of one agg attribute
@@ -212,7 +202,6 @@ struct ViewReq {  // numeric value view of one agg attribute
   const std::vector<double>* view = nullptr;
   std::optional<std::vector<double>> built;
   Status error;
-  int retries = 0;
 };
 
 struct MatReq {  // bucket materialization (depends on group + mask + view)
@@ -225,7 +214,6 @@ struct MatReq {  // bucket materialization (depends on group + mask + view)
   std::optional<MaterializedValues> built;
   bool empty_selection = false;  // mask proved empty; build short-circuited
   Status error;
-  int retries = 0;
 };
 
 /// A candidate resolved to artifact-request indices (-1 = not needed).
@@ -241,31 +229,6 @@ struct CandidateSpec {
 };
 
 }  // namespace
-
-int QueryPlanner::RetryDelayMs(const RetryPolicy& policy, int attempt,
-                               uint64_t token) {
-  if (policy.backoff_ms <= 0) return 0;
-  const int64_t cap =
-      std::max<int64_t>(policy.backoff_ms, policy.max_backoff_ms);
-  // Saturating doubling: shift until the cap would be crossed.
-  int64_t base = policy.backoff_ms;
-  for (int i = 0; i < attempt && base < cap; ++i) base <<= 1;
-  base = std::min(base, cap);
-  // splitmix64 finalizer over (seed, token, attempt): uniform enough to
-  // spread sleepers, and a pure function of its inputs so every retry
-  // schedule is reproducible run-to-run.
-  uint64_t x = policy.jitter_seed ^ (token * 0x9e3779b97f4a7c15ull) ^
-               static_cast<uint64_t>(attempt);
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  // Equal jitter: [base/2, base] keeps a meaningful minimum wait while
-  // halving the collision window.
-  const int64_t half = base / 2;
-  const int64_t span = base - half + 1;
-  return static_cast<int>(half + static_cast<int64_t>(x % span));
-}
 
 Result<const QueryPlanner::CompiledShape*> QueryPlanner::ResolveShape(
     const AggQuery& q, const Table& relevant) {
@@ -575,45 +538,39 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
   auto run_stage_a = [&](size_t t) {
     if (t < a_groups.size()) {
       GroupReq& req = groups[a_groups[t]];
-      req.error = BuildWithRetry(
-          "prepare.group", retry_, RetryToken("prepare.group", req.key),
-          &req.retries, [&]() -> Status {
-            auto built = GroupIndex::Build(relevant, *req.group_keys);
-            if (!built.ok()) return built.status();
-            req.built.emplace(std::move(built).ValueOrDie());
-            return Status::OK();
-          });
+      req.error = GuardedBuild("prepare.group", [&]() -> Status {
+        auto built = GroupIndex::Build(relevant, *req.group_keys);
+        if (!built.ok()) return built.status();
+        req.built.emplace(std::move(built).ValueOrDie());
+        return Status::OK();
+      });
       return;
     }
     t -= a_groups.size();
     if (t < a_masks.size()) {
       MaskReq& req = masks[a_masks[t]];
-      req.error = BuildWithRetry(
-          "prepare.mask", retry_, RetryToken("prepare.mask", req.key),
-          &req.retries, [&]() -> Status {
-            auto filter = CompiledFilter::Compile({*req.pred}, relevant);
-            if (!filter.ok()) return filter.status();
-            Bitset bits(relevant.num_rows());
-            ops_->build_filter_mask(filter.value(), &bits);
-            req.built.emplace(std::move(bits));
-            return Status::OK();
-          });
+      req.error = GuardedBuild("prepare.mask", [&]() -> Status {
+        auto filter = CompiledFilter::Compile({*req.pred}, relevant);
+        if (!filter.ok()) return filter.status();
+        Bitset bits(relevant.num_rows());
+        ops_->build_filter_mask(filter.value(), &bits);
+        req.built.emplace(std::move(bits));
+        return Status::OK();
+      });
       return;
     }
     ViewReq& req = views[a_views[t - a_masks.size()]];
-    req.error = BuildWithRetry(
-        "prepare.view", retry_, RetryToken("prepare.view", req.attr),
-        &req.retries, [&]() -> Status {
-          // NaN encodes null: stored doubles are never NaN (AppendDouble
-          // maps NaN to null) and int/string numeric views cannot produce
-          // one.
-          std::vector<double> view(req.n_rows);
-          for (size_t row = 0; row < req.n_rows; ++row) {
-            view[row] = req.col->AsDouble(row);
-          }
-          req.built.emplace(std::move(view));
-          return Status::OK();
-        });
+    req.error = GuardedBuild("prepare.view", [&]() -> Status {
+      // NaN encodes null: stored doubles are never NaN (AppendDouble
+      // maps NaN to null) and int/string numeric views cannot produce
+      // one.
+      std::vector<double> view(req.n_rows);
+      for (size_t row = 0; row < req.n_rows; ++row) {
+        view[row] = req.col->AsDouble(row);
+      }
+      req.built.emplace(std::move(view));
+      return Status::OK();
+    });
   };
   auto publish_stage_a = [&]() {
     for (size_t gi : a_groups) {
@@ -651,15 +608,12 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
         req.map_error = inherit(req.error, "group index");
         return;
       }
-      req.map_error = BuildWithRetry(
-          "prepare.train_map", retry_,
-          RetryToken("prepare.train_map", req.key), &req.retries, [&]() -> Status {
-            auto built =
-                req.artifact->index.MapTrainingRows(*training, relevant);
-            if (!built.ok()) return built.status();
-            req.built_map.emplace(std::move(built).ValueOrDie());
-            return Status::OK();
-          });
+      req.map_error = GuardedBuild("prepare.train_map", [&]() -> Status {
+        auto built = req.artifact->index.MapTrainingRows(*training, relevant);
+        if (!built.ok()) return built.status();
+        req.built_map.emplace(std::move(built).ValueOrDie());
+        return Status::OK();
+      });
       return;
     }
     ComboReq& req = combos[b_combos[t - b_maps.size()]];
@@ -669,22 +623,20 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
         return;
       }
     }
-    req.error = BuildWithRetry(
-        "prepare.conjunction", retry_,
-        RetryToken("prepare.conjunction", req.key), &req.retries, [&]() -> Status {
-          // Fused AND + popcount: the last constituent's pass also yields
-          // the conjunction's selectivity, which stage C uses to skip
-          // materializing provably-empty buckets.
-          Bitset combined = *masks[req.parts[0]].bits;
-          size_t count = 0;
-          for (size_t k = 1; k < req.parts.size(); ++k) {
-            count = combined.AndWithCount(*masks[req.parts[k]].bits);
-          }
-          req.count = count;
-          req.count_valid = true;
-          req.built.emplace(std::move(combined));
-          return Status::OK();
-        });
+    req.error = GuardedBuild("prepare.conjunction", [&]() -> Status {
+      // Fused AND + popcount: the last constituent's pass also yields
+      // the conjunction's selectivity, which stage C uses to skip
+      // materializing provably-empty buckets.
+      Bitset combined = *masks[req.parts[0]].bits;
+      size_t count = 0;
+      for (size_t k = 1; k < req.parts.size(); ++k) {
+        count = combined.AndWithCount(*masks[req.parts[k]].bits);
+      }
+      req.count = count;
+      req.count_valid = true;
+      req.built.emplace(std::move(combined));
+      return Status::OK();
+    });
   };
   auto publish_stage_b = [&]() {
     if (!stage_error.ok()) return;
@@ -748,21 +700,19 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
                                 ? combo->count == 0
                                 : mask->Count() == 0;
     }
-    req.error = BuildWithRetry(
-        "prepare.mat", retry_, RetryToken("prepare.mat", req.key),
-        &req.retries, [&]() -> Status {
-          if (req.empty_selection) {
-            const size_t n_groups = group.artifact->index.num_groups();
-            MaterializedValues empty;
-            empty.present.assign(n_groups, 0);
-            empty.offsets.assign(n_groups + 1, 0);
-            req.built.emplace(std::move(empty));
-            return Status::OK();
-          }
-          req.built.emplace(ops_->build_materialized(
-              group.artifact->index, mask, view.view->data()));
-          return Status::OK();
-        });
+    req.error = GuardedBuild("prepare.mat", [&]() -> Status {
+      if (req.empty_selection) {
+        const size_t n_groups = group.artifact->index.num_groups();
+        MaterializedValues empty;
+        empty.present.assign(n_groups, 0);
+        empty.offsets.assign(n_groups + 1, 0);
+        req.built.emplace(std::move(empty));
+        return Status::OK();
+      }
+      req.built.emplace(ops_->build_materialized(
+          group.artifact->index, mask, view.view->data()));
+      return Status::OK();
+    });
   };
   auto publish_stage_c = [&]() {
     if (!stage_error.ok()) return;
@@ -795,25 +745,9 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
       if (stage.publish) stage.publish();
     }
   }
-  // Retries are summed before the fail-fast return: even a batch that gave
-  // up reports the re-attempts it burned (tests and benches read this).
-  for (const GroupReq& r : groups) {
-    plan_stats_.build_retries += static_cast<size_t>(r.retries);
-  }
-  for (const MaskReq& r : masks) {
-    plan_stats_.build_retries += static_cast<size_t>(r.retries);
-  }
-  for (const ComboReq& r : combos) {
-    plan_stats_.build_retries += static_cast<size_t>(r.retries);
-  }
-  for (const ViewReq& r : views) {
-    plan_stats_.build_retries += static_cast<size_t>(r.retries);
-  }
   for (const MatReq& r : mats) {
-    plan_stats_.build_retries += static_cast<size_t>(r.retries);
     if (r.empty_selection) ++plan_stats_.empty_selections;
   }
-  build_retries_total_ += plan_stats_.build_retries;
   FEAT_RETURN_NOT_OK(stage_error);
 
   // ---- True-up: replace the conservative up-front estimates of the
@@ -914,82 +848,63 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
   return planned;
 }
 
-Result<std::vector<double>> QueryPlanner::ComputeFeatureColumn(
-    const AggQuery& q, const Table& training, const Table& relevant,
-    const ExecContext* ctx) {
-  const std::vector<AggQuery> one(1, q);
-  if (ResolvedMorselRows() != 0) {
-    FEAT_ASSIGN_OR_RETURN(
-        std::vector<std::vector<double>> out,
-        EvaluateManyMorsel(one, training, relevant, ctx, nullptr));
-    return std::move(out[0]);
-  }
-  store_.BeginEpoch();
-  FEAT_ASSIGN_OR_RETURN(std::vector<PlannedCandidate> planned,
-                        Prepare(one, &training, relevant, ctx));
-  FEAT_RETURN_NOT_OK(FaultPoint("exec.kernel"));
-  return ScatterPerGroup(AggregatePlanned(*ops_, planned[0]),
-                         *planned[0].train_map);
-}
-
 size_t QueryPlanner::ResolvedMorselRows() const {
   return morsel_rows_ != 0 ? morsel_rows_
                            : FeatAugConfig::Global().ResolvedMorselRows();
 }
 
-Result<std::vector<std::vector<double>>> QueryPlanner::EvaluateManyMorsel(
+Result<std::vector<std::vector<double>>> QueryPlanner::Evaluate(
     const std::vector<AggQuery>& queries, const Table& training,
     const Table& relevant, const ExecContext* ctx,
     std::vector<Status>* slot_errors) {
   WallTimer timer;
-  FEAT_ASSIGN_OR_RETURN(ServingPlan plan, CompileServingPlan(queries, relevant,
-                                                             ctx, slot_errors));
-  prepare_seconds_ = timer.Seconds();
-  timer.Restart();
-  FEAT_ASSIGN_OR_RETURN(
-      std::vector<std::vector<double>> out,
-      ExecuteServingPlan(plan, training, pool_, ctx, slot_errors));
+  std::vector<std::vector<double>> out;
+  if (ResolvedMorselRows() != 0) {
+    FEAT_ASSIGN_OR_RETURN(ServingPlan plan, CompileServingPlan(queries, relevant,
+                                                               ctx, slot_errors));
+    prepare_seconds_ = timer.Seconds();
+    timer.Restart();
+    FEAT_ASSIGN_OR_RETURN(
+        out, ExecuteServingPlan(plan, training, pool_, ctx, slot_errors));
+  } else {
+    morsel_stats_ = MorselExecStats{};
+    store_.BeginEpoch();
+    FEAT_RETURN_NOT_OK(ExecContext::ChargeFor(
+        ctx, queries.size() * training.num_rows() * sizeof(double)));
+    FEAT_ASSIGN_OR_RETURN(
+        std::vector<PlannedCandidate> planned,
+        Prepare(queries, &training, relevant, ctx, slot_errors));
+    prepare_seconds_ = timer.Seconds();
+
+    // ---- Fan-out phase: independent pure kernels into pre-sized slots, so
+    // results are deterministic and thread- and chunk-count-independent. ----
+    timer.Restart();
+    out.resize(queries.size());
+    FEAT_RETURN_NOT_OK(FanOut(
+        queries.size(), pool_, ctx, slot_errors, [&](size_t i) -> Status {
+          FEAT_RETURN_NOT_OK(FaultPoint("exec.kernel"));
+          out[i] = ScatterPerGroup(AggregatePlanned(*ops_, planned[i]),
+                                   *planned[i].train_map);
+          return Status::OK();
+        }));
+  }
   aggregate_seconds_ = timer.Seconds();
   return out;
+}
+
+Result<std::vector<double>> QueryPlanner::ComputeFeatureColumn(
+    const AggQuery& q, const Table& training, const Table& relevant,
+    const ExecContext* ctx) {
+  FEAT_ASSIGN_OR_RETURN(
+      std::vector<std::vector<double>> out,
+      Evaluate({q}, training, relevant, ctx, /*slot_errors=*/nullptr));
+  return std::move(out[0]);
 }
 
 Result<std::vector<std::vector<double>>> QueryPlanner::EvaluateMany(
     const std::vector<AggQuery>& queries, const Table& training,
     const Table& relevant, const ExecContext* ctx) {
-  if (ResolvedMorselRows() != 0) {
-    return EvaluateManyMorsel(queries, training, relevant, ctx, nullptr);
-  }
-  morsel_stats_ = MorselExecStats{};
-  store_.BeginEpoch();
-  WallTimer timer;
-  FEAT_RETURN_NOT_OK(ExecContext::ChargeFor(
-      ctx, queries.size() * training.num_rows() * sizeof(double)));
-  FEAT_ASSIGN_OR_RETURN(std::vector<PlannedCandidate> planned,
-                        Prepare(queries, &training, relevant, ctx));
-  prepare_seconds_ = timer.Seconds();
-
-  // ---- Fan-out phase: independent pure kernels into pre-sized slots, so
-  // results are deterministic and thread- and chunk-count-independent. ----
-  timer.Restart();
-  std::vector<std::vector<double>> out(queries.size());
-  std::vector<Status> kernel_errors(queries.size());
-  auto run_one = [&](size_t i) {
-    kernel_errors[i] = FaultPoint("exec.kernel");
-    if (!kernel_errors[i].ok()) return;
-    out[i] = ScatterPerGroup(AggregatePlanned(*ops_, planned[i]),
-                             *planned[i].train_map);
-  };
-  if (pool_ != nullptr) {
-    FEAT_RETURN_NOT_OK(pool_->ParallelFor(planned.size(), run_one, 0, ctx));
-  } else {
-    for (size_t i = 0; i < planned.size(); ++i) {
-      FEAT_RETURN_NOT_OK(ExecContext::CheckFor(ctx));
-      run_one(i);
-    }
-  }
-  for (const Status& s : kernel_errors) FEAT_RETURN_NOT_OK(s);
-  aggregate_seconds_ = timer.Seconds();
-  return out;
+  return Evaluate(queries, training, relevant, ctx, /*slot_errors=*/nullptr);
 }
 
 Result<std::vector<QueryPlanner::CandidateResult>>
@@ -997,55 +912,15 @@ QueryPlanner::EvaluateManyIsolated(const std::vector<AggQuery>& queries,
                                    const Table& training,
                                    const Table& relevant,
                                    const ExecContext* ctx) {
-  if (ResolvedMorselRows() != 0) {
-    std::vector<Status> morsel_slot_errors(queries.size());
-    FEAT_ASSIGN_OR_RETURN(std::vector<std::vector<double>> values,
-                          EvaluateManyMorsel(queries, training, relevant, ctx,
-                                             &morsel_slot_errors));
-    std::vector<CandidateResult> out(queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      out[i].status = std::move(morsel_slot_errors[i]);
-      if (out[i].status.ok()) out[i].values = std::move(values[i]);
-    }
-    return out;
-  }
-  morsel_stats_ = MorselExecStats{};
-  store_.BeginEpoch();
-  WallTimer timer;
-  FEAT_RETURN_NOT_OK(ExecContext::ChargeFor(
-      ctx, queries.size() * training.num_rows() * sizeof(double)));
   std::vector<Status> slot_errors(queries.size());
-  FEAT_ASSIGN_OR_RETURN(std::vector<PlannedCandidate> planned,
-                        Prepare(queries, &training, relevant, ctx,
-                                &slot_errors));
-  prepare_seconds_ = timer.Seconds();
-
-  timer.Restart();
+  FEAT_ASSIGN_OR_RETURN(
+      std::vector<std::vector<double>> values,
+      Evaluate(queries, training, relevant, ctx, &slot_errors));
   std::vector<CandidateResult> out(queries.size());
-  // Slots are disjoint: each task writes only its own index, so recording a
-  // per-candidate kernel failure is race-free on the pool.
-  auto run_one = [&](size_t i) {
-    if (!slot_errors[i].ok()) return;
-    Status injected = FaultPoint("exec.kernel");
-    if (!injected.ok()) {
-      slot_errors[i] = std::move(injected);
-      return;
-    }
-    out[i].values = ScatterPerGroup(AggregatePlanned(*ops_, planned[i]),
-                                    *planned[i].train_map);
-  };
-  if (pool_ != nullptr) {
-    FEAT_RETURN_NOT_OK(pool_->ParallelFor(planned.size(), run_one, 0, ctx));
-  } else {
-    for (size_t i = 0; i < planned.size(); ++i) {
-      FEAT_RETURN_NOT_OK(ExecContext::CheckFor(ctx));
-      run_one(i);
-    }
-  }
   for (size_t i = 0; i < queries.size(); ++i) {
     out[i].status = std::move(slot_errors[i]);
+    if (out[i].status.ok()) out[i].values = std::move(values[i]);
   }
-  aggregate_seconds_ = timer.Seconds();
   return out;
 }
 
@@ -1059,7 +934,6 @@ Result<ServingPlan> QueryPlanner::CompileServingPlan(
   ops_ = &ResolveKernelOps(kernel_backend_);
   MorselOptions options;
   options.morsel_rows = ResolvedMorselRows();
-  options.prefetch = morsel_prefetch_;
   options.pool = pool_;
   options.ops = ops_;
   options.ctx = ctx;
@@ -1116,31 +990,15 @@ Result<std::vector<std::vector<double>>> ExecuteServingPlan(
   // Scatter fan-out: disjoint output slots, deterministic at every thread
   // count (the per-group values are frozen and shared read-only).
   std::vector<std::vector<double>> out(n);
-  std::vector<Status> scatter_errors(n);
-  auto scatter_one = [&](size_t i) {
+  FEAT_RETURN_NOT_OK(FanOut(n, pool, ctx, slot_errors, [&](size_t i) -> Status {
     const size_t gi = plan.candidate_group[i];
-    if (gi == MorselResult::kNoGroupSpec) return;  // isolated compile failure
-    if (!map_errors[gi].ok()) {
-      scatter_errors[i] = map_errors[gi];
-      return;
-    }
-    scatter_errors[i] = FaultPoint("exec.kernel");
-    if (!scatter_errors[i].ok()) return;
+    // A failed isolated compile has no group space; its slot keeps its error.
+    if (gi == MorselResult::kNoGroupSpec) return Status::OK();
+    FEAT_RETURN_NOT_OK(map_errors[gi]);
+    FEAT_RETURN_NOT_OK(FaultPoint("exec.kernel"));
     out[i] = ScatterPerGroup(plan.per_group_features[i], train_maps[gi]);
-  };
-  if (pool != nullptr) {
-    FEAT_RETURN_NOT_OK(pool->ParallelFor(n, scatter_one, 0, ctx));
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      FEAT_RETURN_NOT_OK(ExecContext::CheckFor(ctx));
-      scatter_one(i);
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (scatter_errors[i].ok()) continue;
-    if (slot_errors == nullptr) return std::move(scatter_errors[i]);
-    (*slot_errors)[i] = std::move(scatter_errors[i]);
-  }
+    return Status::OK();
+  }));
   return out;
 }
 

@@ -46,6 +46,12 @@
 ///     writing pre-sized output slots, run on the pool with chunk-claimed
 ///     scheduling.
 ///
+/// EvaluateMany, EvaluateManyIsolated and ComputeFeatureColumn are thin
+/// shells over one evaluate body; they differ only in the failure contract
+/// (fail-fast or per-candidate slots). At a non-zero morsel size
+/// (set_morsel_rows) that body runs the bounded-memory morsel pipeline
+/// (query/morsel.h) in place of phases 1–3, with the same bytes out.
+///
 /// An instance is bound by content to one (training, relevant) table pair:
 /// its store keys off group-key names and predicate operands, so feeding it
 /// a different table with the same schema would silently reuse stale
@@ -116,9 +122,10 @@ struct ServingPlan {
 ///
 /// `slot_errors` selects the failure contract, as in QueryPlanner::Prepare:
 /// nullptr is fail-fast; non-null must be sized to the plan's candidates,
-/// keeps the statuses already in it (isolated compile failures), and
-/// receives each candidate's own map or scatter failure — the call itself
-/// then only fails batch-wide (tripped ctx, exhausted budget).
+/// keeps the statuses already in it (isolated compile failures) and skips
+/// those candidates, and receives each other candidate's own map or scatter
+/// failure — the call itself then only fails batch-wide (tripped ctx,
+/// exhausted budget).
 Result<std::vector<std::vector<double>>> ExecuteServingPlan(
     const ServingPlan& plan, const Table& batch, ThreadPool* pool = nullptr,
     const ExecContext* ctx = nullptr,
@@ -154,51 +161,17 @@ class QueryPlanner {
   void set_morsel_rows(size_t rows) { morsel_rows_ = rows; }
   size_t morsel_rows() const { return morsel_rows_; }
 
-  /// Build/combine overlap of the morsel pipeline (on by default). Identical
-  /// bytes either way — the toggle only changes wall-clock overlap.
-  void set_morsel_prefetch(bool on) { morsel_prefetch_ = on; }
-  bool morsel_prefetch() const { return morsel_prefetch_; }
-
-  /// Stats of the last morsel-mode evaluation on this planner (zeroed when
-  /// the last evaluation took the in-RAM path).
+  /// Stats of the last evaluation on this planner (EvaluateMany,
+  /// EvaluateManyIsolated, ComputeFeatureColumn or CompileServingPlan);
+  /// zeroed when that evaluation took the in-RAM path.
   const MorselExecStats& last_morsel_stats() const { return morsel_stats_; }
 
-  /// Bounded retry for transiently-failing artifact builds: a build whose
-  /// failure is retryable (kInternal / kIOError — the transient classes; a
-  /// kInvalidArgument query shape never retries) is re-attempted up to
-  /// `max_attempts` total tries, sleeping RetryDelayMs between tries.
-  /// Default is one attempt (no retry); retries taken are reported in
-  /// PlanStats::build_retries.
-  struct RetryPolicy {
-    int max_attempts = 1;
-    /// Base of the exponential schedule (attempt 0 waits ~backoff_ms). 0
-    /// disables sleeping entirely (retries stay immediate).
-    int backoff_ms = 0;
-    /// The doubling saturates here: no single wait exceeds this, however
-    /// many attempts the policy allows.
-    int max_backoff_ms = 1000;
-    /// Seed of the deterministic jitter. Concurrent builds that fail
-    /// together desynchronize (each request's delay is drawn from its own
-    /// token), yet every (seed, token, attempt) triple always yields the
-    /// same delay — retry timing is reproducible like everything else.
-    uint64_t jitter_seed = 0;
-  };
-  void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
-  const RetryPolicy& retry_policy() const { return retry_; }
-
-  /// The pure delay schedule behind the retry sleeps: the exponential base
-  /// min(backoff_ms << attempt, max_backoff_ms) jittered deterministically
-  /// into [base/2, base] by hashing (jitter_seed, token, attempt). `token`
-  /// identifies the retrying request (the planner derives it from the
-  /// artifact's cache key) so parallel failers spread out. Exposed for
-  /// tests: the sequence is a pure function of its arguments.
-  static int RetryDelayMs(const RetryPolicy& policy, int attempt,
-                          uint64_t token);
-
   /// Feature column of `q` aligned to `training` (NaN where the entity has
-  /// no qualifying rows), reusing the store's artifacts across calls.
+  /// no qualifying rows), reusing the store's artifacts across calls: a
+  /// one-candidate EvaluateMany, with the same fail-fast contract.
   /// A non-null `ctx` is checked between pipeline phases (and at ThreadPool
-  /// chunk boundaries) and charged with build-size estimates.
+  /// chunk boundaries) and charged with build-size estimates and the output
+  /// column.
   Result<std::vector<double>> ComputeFeatureColumn(
       const AggQuery& q, const Table& training, const Table& relevant,
       const ExecContext* ctx = nullptr);
@@ -291,8 +264,6 @@ class QueryPlanner {
     /// the batch count as hits after the first occurrence.
     size_t compile_hits = 0;
     size_t compile_misses = 0;
-    /// Build re-attempts taken under the RetryPolicy (0 without retries).
-    size_t build_retries = 0;
     /// Bucket materializations short-circuited because their selection mask
     /// had no set bits (the fused conjunction popcount — or a cached mask's
     /// count — proved the bucket empty before any build ran).
@@ -312,10 +283,6 @@ class QueryPlanner {
   size_t compile_cache_flushes() const { return compile_cache_flushes_; }
   /// @}
 
-  /// Build re-attempts summed across all batches (PlanStats::build_retries
-  /// resets per Prepare; fit-level diagnostics read this).
-  size_t build_retries_total() const { return build_retries_total_; }
-
   /// Entry cap of the compile memo. Shapes are tiny (a handful of strings)
   /// but content-keyed, so a long-lived planner must not grow without bound
   /// — the same concern the byte-capped shards and feature cache address.
@@ -326,7 +293,7 @@ class QueryPlanner {
     compile_cache_cap_entries_ = cap;
   }
 
-  /// \name Phase timings of the last EvaluateMany call (bench reporting).
+  /// \name Phase timings of the last evaluation (bench reporting).
   /// @{
   double last_prepare_seconds() const { return prepare_seconds_; }
   double last_aggregate_seconds() const { return aggregate_seconds_; }
@@ -359,9 +326,13 @@ class QueryPlanner {
   /// override when non-zero, else the config/env resolution. 0 = in-RAM.
   size_t ResolvedMorselRows() const;
 
-  /// The morsel-mode twin of Prepare + fan-out: CompileServingPlan, then
-  /// ExecuteServingPlan on `training`. Same slot_errors contract as Prepare.
-  Result<std::vector<std::vector<double>>> EvaluateManyMorsel(
+  /// The one evaluate body behind EvaluateMany, EvaluateManyIsolated and
+  /// ComputeFeatureColumn. At a non-zero resolved morsel size it runs
+  /// CompileServingPlan, then ExecuteServingPlan on `training`; otherwise
+  /// Prepare, then the per-candidate kernel + scatter fan-out. Either way it
+  /// records last_morsel_stats() and the phase timers. Same slot_errors
+  /// contract as Prepare (nullptr = fail-fast).
+  Result<std::vector<std::vector<double>>> Evaluate(
       const std::vector<AggQuery>& queries, const Table& training,
       const Table& relevant, const ExecContext* ctx,
       std::vector<Status>* slot_errors);
@@ -392,16 +363,13 @@ class QueryPlanner {
   const KernelOps* ops_ = nullptr;
   KernelBackend kernel_backend_ = KernelBackend::kAuto;
   size_t morsel_rows_ = 0;
-  bool morsel_prefetch_ = true;
   MorselExecStats morsel_stats_;
-  RetryPolicy retry_;
   PlanStats plan_stats_;
   std::unordered_map<std::string, CompiledShape> compile_cache_;
   size_t compile_cache_cap_entries_ = 1u << 16;
   size_t compile_cache_hits_ = 0;
   size_t compile_cache_misses_ = 0;
   size_t compile_cache_flushes_ = 0;
-  size_t build_retries_total_ = 0;
   double prepare_seconds_ = 0.0;
   double aggregate_seconds_ = 0.0;
 };

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "query/executor.h"
+#include "query/query_planner.h"
 
 namespace featlib {
 namespace {
@@ -38,7 +38,7 @@ AggQuery SumQuery() {
 
 TEST(AugmentTest, FeatureAlignedToTrainingRows) {
   Tables t = MakeJoinTables();
-  auto feature = ComputeFeatureColumn(SumQuery(), t.d, t.r);
+  auto feature = QueryPlanner().ComputeFeatureColumn(SumQuery(), t.d, t.r);
   ASSERT_TRUE(feature.ok());
   const auto& f = feature.value();
   ASSERT_EQ(f.size(), 4u);
@@ -48,11 +48,14 @@ TEST(AugmentTest, FeatureAlignedToTrainingRows) {
   EXPECT_TRUE(std::isnan(f[3])); // dee: no logs -> NULL (LEFT JOIN)
 }
 
+// D^q of Def. 3: the feature appended to D as a nullable column.
 TEST(AugmentTest, AugmentTablePreservesRowCountAndAddsColumn) {
   Tables t = MakeJoinTables();
-  auto augmented = AugmentTable(t.d, t.r, SumQuery(), "total_spent");
-  ASSERT_TRUE(augmented.ok());
-  const Table& out = augmented.value();
+  auto feature = QueryPlanner().ComputeFeatureColumn(SumQuery(), t.d, t.r);
+  ASSERT_TRUE(feature.ok());
+  Table out = t.d;
+  ASSERT_TRUE(
+      out.AddColumn("total_spent", Column::FromDoubles(feature.value())).ok());
   EXPECT_EQ(out.num_rows(), t.d.num_rows());
   EXPECT_EQ(out.num_columns(), t.d.num_columns() + 1);
   ASSERT_TRUE(out.HasColumn("total_spent"));
@@ -62,7 +65,10 @@ TEST(AugmentTest, AugmentTablePreservesRowCountAndAddsColumn) {
 
 TEST(AugmentTest, DuplicateFeatureNameRejected) {
   Tables t = MakeJoinTables();
-  EXPECT_FALSE(AugmentTable(t.d, t.r, SumQuery(), "age").ok());
+  auto feature = QueryPlanner().ComputeFeatureColumn(SumQuery(), t.d, t.r);
+  ASSERT_TRUE(feature.ok());
+  Table out = t.d;
+  EXPECT_FALSE(out.AddColumn("age", Column::FromDoubles(feature.value())).ok());
 }
 
 TEST(AugmentTest, IntegerJoinKeys) {
@@ -76,7 +82,7 @@ TEST(AugmentTest, IntegerJoinKeys) {
   q.agg = AggFunction::kSum;
   q.agg_attr = "v";
   q.group_keys = {"uid"};
-  auto f = ComputeFeatureColumn(q, d, r);
+  auto f = QueryPlanner().ComputeFeatureColumn(q, d, r);
   ASSERT_TRUE(f.ok());
   EXPECT_DOUBLE_EQ(f.value()[0], 10.0);
   EXPECT_DOUBLE_EQ(f.value()[1], 3.0);
@@ -97,13 +103,13 @@ TEST(AugmentTest, CompoundKeySubsetChangesGranularity) {
   q.agg = AggFunction::kSum;
   q.agg_attr = "v";
   q.group_keys = {"u", "m"};
-  auto both = ComputeFeatureColumn(q, d, r);
+  auto both = QueryPlanner().ComputeFeatureColumn(q, d, r);
   ASSERT_TRUE(both.ok());
   EXPECT_DOUBLE_EQ(both.value()[0], 1.0);  // only (1,10)
   EXPECT_DOUBLE_EQ(both.value()[1], 5.0);
 
   q.group_keys = {"u"};  // k subset of K: aggregates across merchants
-  auto user_only = ComputeFeatureColumn(q, d, r);
+  auto user_only = QueryPlanner().ComputeFeatureColumn(q, d, r);
   ASSERT_TRUE(user_only.ok());
   EXPECT_DOUBLE_EQ(user_only.value()[0], 101.0);
   EXPECT_DOUBLE_EQ(user_only.value()[1], 5.0);
@@ -122,7 +128,7 @@ TEST(AugmentTest, NullTrainingKeyGetsNaN) {
   q.agg = AggFunction::kAvg;
   q.agg_attr = "v";
   q.group_keys = {"uid"};
-  auto f = ComputeFeatureColumn(q, d, r);
+  auto f = QueryPlanner().ComputeFeatureColumn(q, d, r);
   ASSERT_TRUE(f.ok());
   EXPECT_DOUBLE_EQ(f.value()[0], 2.0);
   EXPECT_TRUE(std::isnan(f.value()[1]));
@@ -134,7 +140,7 @@ TEST(AugmentTest, TrainingKeyAbsentFromRelevantDictionary) {
   Tables t = MakeJoinTables();
   Table d2;
   EXPECT_TRUE(d2.AddColumn("cname", Column::FromStrings({"eve"})).ok());
-  auto f = ComputeFeatureColumn(SumQuery(), d2, t.r);
+  auto f = QueryPlanner().ComputeFeatureColumn(SumQuery(), d2, t.r);
   ASSERT_TRUE(f.ok());
   EXPECT_TRUE(std::isnan(f.value()[0]));
 }
@@ -143,7 +149,7 @@ TEST(AugmentTest, MissingKeyColumnInTrainingIsError) {
   Tables t = MakeJoinTables();
   AggQuery q = SumQuery();
   q.group_keys = {"pprice"};  // exists in R, not in D
-  EXPECT_FALSE(ComputeFeatureColumn(q, t.d, t.r).ok());
+  EXPECT_FALSE(QueryPlanner().ComputeFeatureColumn(q, t.d, t.r).ok());
 }
 
 TEST(AugmentTest, KeyTypeMismatchIsError) {
@@ -156,7 +162,7 @@ TEST(AugmentTest, KeyTypeMismatchIsError) {
   q.agg = AggFunction::kAvg;
   q.agg_attr = "v";
   q.group_keys = {"k"};
-  EXPECT_FALSE(ComputeFeatureColumn(q, d, r).ok());
+  EXPECT_FALSE(QueryPlanner().ComputeFeatureColumn(q, d, r).ok());
 }
 
 TEST(AugmentTest, ExecuteAndComputeAgree) {
@@ -165,8 +171,8 @@ TEST(AugmentTest, ExecuteAndComputeAgree) {
   Tables t = MakeJoinTables();
   AggQuery q = SumQuery();
   q.predicates = {Predicate::Range("pprice", 6.0, std::nullopt)};
-  auto feature = ComputeFeatureColumn(q, t.d, t.r);
-  auto table = ExecuteAggQuery(q, t.r);
+  auto feature = QueryPlanner().ComputeFeatureColumn(q, t.d, t.r);
+  auto table = QueryPlanner().ExecuteAggQuery(q, t.r);
   ASSERT_TRUE(feature.ok());
   ASSERT_TRUE(table.ok());
   const Column* keys = table.value().GetColumn("cname").value();

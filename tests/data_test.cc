@@ -103,11 +103,14 @@ TEST_P(PlantedSignalTest, GoldenFeatureBeatsUnpredicatedVersion) {
   ASSERT_TRUE(bundle_result.ok());
   const DatasetBundle& b = bundle_result.value();
 
-  auto golden = ComputeFeatureColumn(b.golden_query, b.training, b.relevant);
+  QueryPlanner planner;
+  auto golden =
+      planner.ComputeFeatureColumn(b.golden_query, b.training, b.relevant);
   ASSERT_TRUE(golden.ok());
   AggQuery unpredicated = b.golden_query;
   unpredicated.predicates.clear();
-  auto plain = ComputeFeatureColumn(unpredicated, b.training, b.relevant);
+  auto plain =
+      planner.ComputeFeatureColumn(unpredicated, b.training, b.relevant);
   ASSERT_TRUE(plain.ok());
 
   const auto labels = LabelVector(b);
@@ -155,7 +158,8 @@ TEST(DataTest, OneToOneRelevantMatchesTraining) {
   DatasetBundle b = MakeHousehold(SmallOptions());
   EXPECT_EQ(b.relevant.num_rows(), b.training.num_rows());
   // Identity aggregation (AVG over the single row) recovers the attribute.
-  auto f = ComputeFeatureColumn(b.golden_query, b.training, b.relevant);
+  auto f = QueryPlanner().ComputeFeatureColumn(b.golden_query, b.training,
+                                               b.relevant);
   ASSERT_TRUE(f.ok());
   const Column* attr = b.relevant.GetColumn(b.golden_query.agg_attr).value();
   for (size_t i = 0; i < 20; ++i) {

@@ -17,9 +17,8 @@
 
 #include "common/rng.h"
 #include "golden_util.h"
-#include "query/executor.h"
-#include "query/group_index.h"
 #include "query/query_planner.h"
+#include "query/group_index.h"
 
 namespace featlib {
 namespace {
@@ -187,8 +186,8 @@ TEST(ExecutorGoldenTest, EvaluateManyMatchesPerCandidateCalls) {
   ASSERT_TRUE(many.ok()) << many.status().ToString();
   ASSERT_EQ(many.value().size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    auto single =
-        ComputeFeatureColumn(queries[i], tables.training, tables.relevant);
+    auto single = QueryPlanner().ComputeFeatureColumn(
+        queries[i], tables.training, tables.relevant);
     ASSERT_TRUE(single.ok());
     ExpectColumnsBitIdentical(many.value()[i], single.value(),
                               queries[i].CacheKey());
@@ -232,7 +231,7 @@ TEST(ExecutorGoldenTest, SignedZeroKeysJoinAcrossTables) {
   q.agg_attr = "v";
   q.group_keys = {"k"};
 
-  auto feature = ComputeFeatureColumn(q, training, relevant);
+  auto feature = QueryPlanner().ComputeFeatureColumn(q, training, relevant);
   ASSERT_TRUE(feature.ok());
   // 0.0 == -0.0: both spellings of zero must join the same group.
   EXPECT_DOUBLE_EQ(feature.value()[0], 5.0);
@@ -240,7 +239,7 @@ TEST(ExecutorGoldenTest, SignedZeroKeysJoinAcrossTables) {
   EXPECT_DOUBLE_EQ(feature.value()[2], 9.0);
 
   // Rows with either zero spelling collapse into one group.
-  auto grouped = ExecuteAggQuery(q, relevant);
+  auto grouped = QueryPlanner().ExecuteAggQuery(q, relevant);
   ASSERT_TRUE(grouped.ok());
   EXPECT_EQ(grouped.value().num_rows(), 2u);
 }
@@ -253,7 +252,7 @@ TEST(ExecutorGoldenTest, GroupOrderingIsDeterministic) {
   AggQuery q = MakeRandomQuery(&rng);
   q.group_keys = {"uid", "city"};
 
-  auto first = ExecuteAggQuery(q, tables.relevant);
+  auto first = QueryPlanner().ExecuteAggQuery(q, tables.relevant);
   ASSERT_TRUE(first.ok());
   const std::string expected = golden::EncodeTable(first.value());
   for (int repeat = 0; repeat < 3; ++repeat) {
@@ -292,29 +291,37 @@ TEST(ExecutorGoldenTest, InvalidQueriesAreRejected) {
   AggQuery no_keys;
   no_keys.agg = AggFunction::kSum;
   no_keys.agg_attr = "value";
-  EXPECT_FALSE(ComputeFeatureColumn(no_keys, tables.training, tables.relevant).ok());
+  QueryPlanner planner;
+  EXPECT_FALSE(
+      planner.ComputeFeatureColumn(no_keys, tables.training, tables.relevant)
+          .ok());
 
   AggQuery missing_attr;
   missing_attr.agg = AggFunction::kSum;
   missing_attr.agg_attr = "nope";
   missing_attr.group_keys = {"uid"};
-  EXPECT_FALSE(
-      ComputeFeatureColumn(missing_attr, tables.training, tables.relevant).ok());
+  EXPECT_FALSE(planner
+                   .ComputeFeatureColumn(missing_attr, tables.training,
+                                         tables.relevant)
+                   .ok());
 
   AggQuery key_not_in_training;
   key_not_in_training.agg = AggFunction::kSum;
   key_not_in_training.agg_attr = "value";
   key_not_in_training.group_keys = {"level"};  // in R, not in D
-  EXPECT_FALSE(
-      ComputeFeatureColumn(key_not_in_training, tables.training, tables.relevant)
-          .ok());
+  EXPECT_FALSE(planner
+                   .ComputeFeatureColumn(key_not_in_training, tables.training,
+                                         tables.relevant)
+                   .ok());
 
   AggQuery sum_over_string;
   sum_over_string.agg = AggFunction::kSum;
   sum_over_string.agg_attr = "dept";
   sum_over_string.group_keys = {"uid"};
-  EXPECT_FALSE(
-      ComputeFeatureColumn(sum_over_string, tables.training, tables.relevant).ok());
+  EXPECT_FALSE(planner
+                   .ComputeFeatureColumn(sum_over_string, tables.training,
+                                         tables.relevant)
+                   .ok());
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "golden_util.h"
-#include "query/executor.h"
 #include "query/query_planner.h"
 #include "query/sql_parser.h"
 
@@ -196,7 +195,8 @@ TEST(ExecutorParallelTest, CountStarCountsAllSelectedRows) {
   AggQuery count_star;
   count_star.agg = AggFunction::kCount;
   count_star.group_keys = {"k"};
-  auto counts = ComputeFeatureColumn(count_star, training, relevant);
+  auto counts =
+      QueryPlanner().ComputeFeatureColumn(count_star, training, relevant);
   ASSERT_TRUE(counts.ok()) << counts.status().ToString();
   EXPECT_DOUBLE_EQ(counts.value()[0], 3.0);  // nulls counted
   EXPECT_DOUBLE_EQ(counts.value()[1], 2.0);
@@ -205,7 +205,8 @@ TEST(ExecutorParallelTest, CountStarCountsAllSelectedRows) {
   // COUNT(value) counts non-null cells only: 2 and 0 — distinct from above.
   AggQuery count_value = count_star;
   count_value.agg_attr = "value";
-  auto value_counts = ComputeFeatureColumn(count_value, training, relevant);
+  auto value_counts =
+      QueryPlanner().ComputeFeatureColumn(count_value, training, relevant);
   ASSERT_TRUE(value_counts.ok());
   EXPECT_DOUBLE_EQ(value_counts.value()[0], 2.0);
   EXPECT_DOUBLE_EQ(value_counts.value()[1], 0.0);
@@ -214,7 +215,8 @@ TEST(ExecutorParallelTest, CountStarCountsAllSelectedRows) {
   AggQuery sum_star;
   sum_star.agg = AggFunction::kSum;
   sum_star.group_keys = {"k"};
-  EXPECT_FALSE(ComputeFeatureColumn(sum_star, training, relevant).ok());
+  EXPECT_FALSE(
+      QueryPlanner().ComputeFeatureColumn(sum_star, training, relevant).ok());
 
   // The COUNT(*) rendering round-trips through the SQL parser.
   const std::string sql = count_star.ToSql("relevant", relevant);

@@ -5,7 +5,7 @@
 
 #include "common/rng.h"
 
-#include "query/executor.h"
+#include "query/query_planner.h"
 
 namespace featlib {
 namespace {
@@ -40,7 +40,7 @@ AggQuery AvgPriceQuery() {
 
 TEST(ExecutorTest, GroupByWithoutPredicates) {
   Table logs = MakeUserLogs();
-  auto result = ExecuteAggQuery(AvgPriceQuery(), logs);
+  auto result = QueryPlanner().ExecuteAggQuery(AvgPriceQuery(), logs);
   ASSERT_TRUE(result.ok());
   const Table& out = result.value();
   EXPECT_EQ(out.num_rows(), 3u);
@@ -58,7 +58,7 @@ TEST(ExecutorTest, PredicateAwareQueryFromThePaper) {
   AggQuery q = AvgPriceQuery();
   q.predicates = {Predicate::Equals("department", Value::Str("Electronics")),
                   Predicate::Range("ts", 150.0, std::nullopt)};
-  auto result = ExecuteAggQuery(q, logs);
+  auto result = QueryPlanner().ExecuteAggQuery(q, logs);
   ASSERT_TRUE(result.ok());
   // Only bob's row (15, ts=300, Electronics) qualifies.
   EXPECT_EQ(result.value().num_rows(), 1u);
@@ -70,7 +70,7 @@ TEST(ExecutorTest, EmptyFilterResultYieldsEmptyTable) {
   Table logs = MakeUserLogs();
   AggQuery q = AvgPriceQuery();
   q.predicates = {Predicate::Range("ts", 1e9, std::nullopt)};
-  auto result = ExecuteAggQuery(q, logs);
+  auto result = QueryPlanner().ExecuteAggQuery(q, logs);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().num_rows(), 0u);
 }
@@ -87,7 +87,7 @@ TEST(ExecutorTest, NullGroupKeysDropped) {
   q.agg = AggFunction::kSum;
   q.agg_attr = "v";
   q.group_keys = {"k"};
-  auto result = ExecuteAggQuery(q, t);
+  auto result = QueryPlanner().ExecuteAggQuery(q, t);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().num_rows(), 1u);
   EXPECT_DOUBLE_EQ(result.value().GetColumn("feature").value()->DoubleAt(0), 4.0);
@@ -101,7 +101,7 @@ TEST(ExecutorTest, NullAggregateBecomesNullFeature) {
   q.agg = AggFunction::kVarSample;  // undefined for single-row group
   q.agg_attr = "v";
   q.group_keys = {"k"};
-  auto result = ExecuteAggQuery(q, t);
+  auto result = QueryPlanner().ExecuteAggQuery(q, t);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.value().GetColumn("feature").value()->IsNull(0));
 }
@@ -115,7 +115,7 @@ TEST(ExecutorTest, CompoundGroupKeys) {
   q.agg = AggFunction::kSum;
   q.agg_attr = "v";
   q.group_keys = {"a", "b"};
-  auto result = ExecuteAggQuery(q, t);
+  auto result = QueryPlanner().ExecuteAggQuery(q, t);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().num_rows(), 3u);  // (1,7), (1,8), (2,7)
   EXPECT_DOUBLE_EQ(result.value().GetColumn("feature").value()->DoubleAt(0), 5.0);
@@ -125,20 +125,20 @@ TEST(ExecutorTest, ValidationErrors) {
   Table logs = MakeUserLogs();
   AggQuery q = AvgPriceQuery();
   q.group_keys = {};
-  EXPECT_FALSE(ExecuteAggQuery(q, logs).ok());
+  EXPECT_FALSE(QueryPlanner().ExecuteAggQuery(q, logs).ok());
 
   q = AvgPriceQuery();
   q.agg_attr = "missing";
-  EXPECT_FALSE(ExecuteAggQuery(q, logs).ok());
+  EXPECT_FALSE(QueryPlanner().ExecuteAggQuery(q, logs).ok());
 
   q = AvgPriceQuery();
   q.agg = AggFunction::kSum;
   q.agg_attr = "department";  // SUM over categorical
-  EXPECT_FALSE(ExecuteAggQuery(q, logs).ok());
+  EXPECT_FALSE(QueryPlanner().ExecuteAggQuery(q, logs).ok());
 
   q = AvgPriceQuery();
   q.predicates = {Predicate::Range("department", 0.0, 1.0)};
-  EXPECT_FALSE(ExecuteAggQuery(q, logs).ok());
+  EXPECT_FALSE(QueryPlanner().ExecuteAggQuery(q, logs).ok());
 }
 
 TEST(ExecutorTest, CategoricalAggregations) {
@@ -147,7 +147,7 @@ TEST(ExecutorTest, CategoricalAggregations) {
   q.agg = AggFunction::kCountDistinct;
   q.agg_attr = "department";
   q.group_keys = {"cname"};
-  auto result = ExecuteAggQuery(q, logs);
+  auto result = QueryPlanner().ExecuteAggQuery(q, logs);
   ASSERT_TRUE(result.ok());
   // ann: Electronics+Books=2, bob: 2, cat: 1.
   EXPECT_DOUBLE_EQ(result.value().GetColumn("feature").value()->DoubleAt(0), 2.0);
@@ -252,7 +252,7 @@ TEST(ExecutorTest, RandomizedAgainstNaiveReference) {
     }
 
     const auto expected = NaiveEvaluate(q, r);
-    auto result = ExecuteAggQuery(q, r);
+    auto result = QueryPlanner().ExecuteAggQuery(q, r);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     const Table& out = result.value();
     ASSERT_EQ(out.num_rows(), expected.size()) << "trial " << trial;

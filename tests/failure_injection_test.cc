@@ -14,7 +14,7 @@
 #include "hpo/hyperband.h"
 #include "hpo/smac.h"
 #include "hpo/tpe.h"
-#include "query/executor.h"
+#include "query/query_planner.h"
 #include "stats/stats.h"
 
 namespace featlib {
@@ -55,14 +55,15 @@ AggQuery AvgPriceQuery() {
 TEST(FailureInjectionTest, EmptyRelevantTableYieldsAllNanFeature) {
   Table training = SmallTraining();
   Table logs = EmptyLogs();
-  auto feature = ComputeFeatureColumn(AvgPriceQuery(), training, logs);
+  auto feature =
+      QueryPlanner().ComputeFeatureColumn(AvgPriceQuery(), training, logs);
   ASSERT_TRUE(feature.ok()) << feature.status().ToString();
   ASSERT_EQ(feature.value().size(), training.num_rows());
   for (double v : feature.value()) EXPECT_TRUE(std::isnan(v));
 }
 
 TEST(FailureInjectionTest, EmptyRelevantTableExecutesToEmptyResult) {
-  auto result = ExecuteAggQuery(AvgPriceQuery(), EmptyLogs());
+  auto result = QueryPlanner().ExecuteAggQuery(AvgPriceQuery(), EmptyLogs());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().num_rows(), 0u);
 }
@@ -92,7 +93,8 @@ TEST(FailureInjectionTest, AllNullAggColumnGivesNanAggregatesNotCrash) {
   ASSERT_TRUE(logs.AddColumn("price", std::move(price)).ok());
 
   Table training = SmallTraining();
-  auto feature = ComputeFeatureColumn(AvgPriceQuery(), training, logs);
+  auto feature =
+      QueryPlanner().ComputeFeatureColumn(AvgPriceQuery(), training, logs);
   ASSERT_TRUE(feature.ok());
   for (size_t i = 0; i < 4; ++i) {
     EXPECT_TRUE(std::isnan(feature.value()[i])) << i;
@@ -108,7 +110,7 @@ TEST(FailureInjectionTest, CountOfAllNullColumnIsZero) {
   ASSERT_TRUE(logs.AddColumn("price", std::move(price)).ok());
   AggQuery q = AvgPriceQuery();
   q.agg = AggFunction::kCount;
-  auto result = ExecuteAggQuery(q, logs);
+  auto result = QueryPlanner().ExecuteAggQuery(q, logs);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.value().num_rows(), 1u);
   auto col = result.value().GetColumn("feature");
@@ -126,10 +128,14 @@ TEST(FailureInjectionTest, UnmatchedEntitiesGetNanAndRowCountIsPreserved) {
                                                        {0, 0, 1, 999}))
                   .ok());
   ASSERT_TRUE(logs.AddColumn("price", Column::FromDoubles({1, 2, 3, 4})).ok());
-  auto augmented = AugmentTable(training, logs, AvgPriceQuery(), "f");
-  ASSERT_TRUE(augmented.ok());
-  EXPECT_EQ(augmented.value().num_rows(), training.num_rows());
-  auto f = augmented.value().GetColumn("f");
+  auto feature =
+      QueryPlanner().ComputeFeatureColumn(AvgPriceQuery(), training, logs);
+  ASSERT_TRUE(feature.ok());
+  Table augmented = training;
+  ASSERT_TRUE(
+      augmented.AddColumn("f", Column::FromDoubles(feature.value())).ok());
+  EXPECT_EQ(augmented.num_rows(), training.num_rows());
+  auto f = augmented.GetColumn("f");
   ASSERT_TRUE(f.ok());
   EXPECT_DOUBLE_EQ(f.value()->DoubleAt(0), 1.5);
   EXPECT_DOUBLE_EQ(f.value()->DoubleAt(1), 3.0);
@@ -249,21 +255,22 @@ TEST(FailureInjectionTest, QueryAgainstMissingColumnsFailsCleanly) {
       logs.AddColumn("cname", Column::FromInts(DataType::kInt64, {0})).ok());
   ASSERT_TRUE(logs.AddColumn("price", Column::FromDoubles({1.0})).ok());
 
+  QueryPlanner planner;
   AggQuery missing_attr = AvgPriceQuery();
   missing_attr.agg_attr = "nope";
-  EXPECT_FALSE(ComputeFeatureColumn(missing_attr, training, logs).ok());
+  EXPECT_FALSE(planner.ComputeFeatureColumn(missing_attr, training, logs).ok());
 
   AggQuery missing_key = AvgPriceQuery();
   missing_key.group_keys = {"nope"};
-  EXPECT_FALSE(ComputeFeatureColumn(missing_key, training, logs).ok());
+  EXPECT_FALSE(planner.ComputeFeatureColumn(missing_key, training, logs).ok());
 
   AggQuery missing_pred = AvgPriceQuery();
   missing_pred.predicates = {Predicate::Range("nope", 0.0, 1.0)};
-  EXPECT_FALSE(ComputeFeatureColumn(missing_pred, training, logs).ok());
+  EXPECT_FALSE(planner.ComputeFeatureColumn(missing_pred, training, logs).ok());
 
   AggQuery no_keys = AvgPriceQuery();
   no_keys.group_keys = {};
-  EXPECT_FALSE(ComputeFeatureColumn(no_keys, training, logs).ok());
+  EXPECT_FALSE(planner.ComputeFeatureColumn(no_keys, training, logs).ok());
 }
 
 // --- Single-row groups ------------------------------------------------------------
@@ -277,7 +284,7 @@ TEST(FailureInjectionTest, SingleRowGroupsDefineOrderStatsButNotSampleVariance) 
                          AggFunction::kMode, AggFunction::kVar}) {
     AggQuery q = AvgPriceQuery();
     q.agg = fn;
-    auto result = ExecuteAggQuery(q, logs);
+    auto result = QueryPlanner().ExecuteAggQuery(q, logs);
     ASSERT_TRUE(result.ok()) << AggFunctionName(fn);
     auto col = result.value().GetColumn("feature");
     ASSERT_TRUE(col.ok());
@@ -285,7 +292,7 @@ TEST(FailureInjectionTest, SingleRowGroupsDefineOrderStatsButNotSampleVariance) 
   }
   AggQuery var_sample = AvgPriceQuery();
   var_sample.agg = AggFunction::kVarSample;
-  auto result = ExecuteAggQuery(var_sample, logs);
+  auto result = QueryPlanner().ExecuteAggQuery(var_sample, logs);
   ASSERT_TRUE(result.ok());
   auto col = result.value().GetColumn("feature");
   ASSERT_TRUE(col.ok());

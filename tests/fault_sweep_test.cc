@@ -89,8 +89,7 @@ std::vector<AggQuery> SweepQueries() {
 }
 
 // A failure escaping the harness as anything but these codes is a bug: the
-// injector produces kInternal, inheritance preserves it, retries keep the
-// last typed Status, and plan_io maps I/O trouble to kIOError/kNotFound.
+// injector produces kInternal, inheritance preserves it, and plan_io maps I/O trouble to kIOError/kNotFound.
 bool IsCleanFailure(const Status& s) {
   switch (s.code()) {
     case StatusCode::kInternal:

@@ -1,10 +1,9 @@
 /// \file fault_tolerance_test.cc
 /// \brief Fault-tolerant execution, end to end: injected build/kernel faults
 /// surface as clean typed Statuses, failed candidates are isolated while the
-/// survivors stay byte-identical to an uninjected run, bounded retry absorbs
-/// transient build failures, and cancellation mid-prepare never publishes a
-/// half-built stage (a later run on the same store is byte-identical to a
-/// fresh one).
+/// survivors stay byte-identical to an uninjected run, and cancellation
+/// mid-prepare never publishes a half-built stage (a later run on the same
+/// store is byte-identical to a fresh one).
 ///
 /// Targeted armings count per-site calls, which are deterministic only when
 /// builds run serially — every planner here stays on the default (serial)
@@ -176,42 +175,6 @@ TEST_F(FaultToleranceTest, FailFastBatchSurfacesInjectedFaultAndRecovers) {
     ExpectColumnsBitIdentical(again.value()[i], expected[i],
                               "post-failure " + std::to_string(i));
   }
-}
-
-TEST_F(FaultToleranceTest, RetryAbsorbsTransientBuildFailures) {
-  const Pair tables = MakePair();
-  const std::vector<AggQuery> queries = CanonicalQueries();
-  const std::vector<std::vector<double>> expected = Reference(tables, queries);
-
-  // First two attempts of the group build fail, the third succeeds.
-  FaultInjector::Global().ArmSite("prepare.group", 0, /*count=*/2);
-  QueryPlanner planner;
-  planner.set_retry_policy({/*max_attempts=*/3, /*backoff_ms=*/0});
-  auto r = planner.EvaluateMany(queries, tables.training, tables.relevant);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(planner.last_plan_stats().build_retries, 2u);
-  EXPECT_EQ(FaultInjector::Global().faults_injected(), 2u);
-  EXPECT_EQ(FaultInjector::Global().calls("prepare.group"), 3u);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ExpectColumnsBitIdentical(r.value()[i], expected[i],
-                              "retried " + std::to_string(i));
-  }
-}
-
-TEST_F(FaultToleranceTest, RetryExhaustionYieldsCleanTypedStatus) {
-  const Pair tables = MakePair();
-  const std::vector<AggQuery> queries = CanonicalQueries();
-
-  FaultInjector::Global().ArmSite("prepare.group", 0, /*count=*/5);
-  QueryPlanner planner;
-  planner.set_retry_policy({/*max_attempts=*/2, /*backoff_ms=*/0});
-  auto r = planner.EvaluateMany(queries, tables.training, tables.relevant);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInternal);
-  EXPECT_NE(r.status().message().find("injected fault"), std::string::npos);
-  // Both attempts were consumed before giving up.
-  EXPECT_EQ(FaultInjector::Global().calls("prepare.group"), 2u);
-  EXPECT_EQ(planner.last_plan_stats().build_retries, 1u);
 }
 
 TEST_F(FaultToleranceTest, KernelFaultIsolatesOneCandidate) {

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "query/executor.h"
+#include "query/query_planner.h"
 #include "query/join.h"
 
 namespace featlib {
@@ -143,7 +143,8 @@ TEST(JoinTest, JoinedRelevantTableFeedsExecutor) {
   q.agg_attr = "qty";
   q.group_keys = {"order_id"};
   q.predicates = {Predicate::Equals("department", Value::Str("dairy"))};
-  auto feature = ComputeFeatureColumn(q, training, relevant.value());
+  auto feature =
+      QueryPlanner().ComputeFeatureColumn(q, training, relevant.value());
   ASSERT_TRUE(feature.ok()) << feature.status().ToString();
   EXPECT_DOUBLE_EQ(feature.value()[0], 2.0);  // order 1: dairy qty 2
   EXPECT_DOUBLE_EQ(feature.value()[1], 5.0);  // order 2: dairy qty 5

@@ -2,8 +2,9 @@
 /// \brief Pins the out-of-core morsel executor's contract (query/morsel.h):
 /// the row-range partition itself, byte-identity of every aggregate against
 /// the single-pass oracle across morsel sizes and thread counts, boundary-
-/// spanning groups, all-null morsels, prefetch on/off equivalence, isolated
-/// per-candidate failure, serving-plan identity against the in-RAM
+/// spanning groups, all-null morsels, entry-point parity (EvaluateMany,
+/// EvaluateManyIsolated, ComputeFeatureColumn), isolated per-candidate
+/// failure, serving-plan identity against the in-RAM
 /// EvaluateMany (empty relevant table included), the "morsel.build" /
 /// "morsel.merge" fault sites, and the bounded-memory guarantee (a budget
 /// the in-RAM path exhausts while the morsel path fits).
@@ -202,29 +203,49 @@ TEST(MorselTest, EveryAggregateBitIdenticalAcrossMorselSizesAndThreads) {
       EXPECT_EQ(stats.sweeps, 2u) << context;
     }
   }
-}
 
-TEST(MorselTest, PrefetchOffProducesIdenticalBytes) {
-  Rng rng(612);
-  const RandomPair tables = MakeRandomPair(&rng);
-  const std::vector<AggQuery> queries = MakeCandidatePool();
+  // Entry-point parity, in RAM and streamed: ComputeFeatureColumn and
+  // EvaluateManyIsolated return EvaluateMany's bytes, and a batch with one
+  // invalid candidate fails EvaluateMany with the code EvaluateManyIsolated
+  // puts in that candidate's slot.
+  AggQuery bad;
+  bad.agg = AggFunction::kSum;
+  bad.agg_attr = "no_such_column";
+  bad.group_keys = {"uid"};
+  const size_t bad_slot = 3;
+  std::vector<AggQuery> with_bad = queries;
+  with_bad.insert(with_bad.begin() + bad_slot, bad);
+  for (const size_t morsel_rows : {size_t{0}, size_t{17}}) {
+    const std::string context =
+        "parity morsel_rows=" + std::to_string(morsel_rows);
+    QueryPlanner planner;
+    planner.set_morsel_rows(morsel_rows);
+    auto many = planner.EvaluateMany(queries, tables.training, tables.relevant);
+    ASSERT_TRUE(many.ok()) << context << ": " << many.status().ToString();
+    auto isolated =
+        planner.EvaluateManyIsolated(queries, tables.training, tables.relevant);
+    ASSERT_TRUE(isolated.ok()) << context;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const std::string slot = context + " " + queries[i].CacheKey();
+      ASSERT_TRUE(isolated.value()[i].status.ok()) << slot;
+      ExpectColumnsBitIdentical(isolated.value()[i].values, many.value()[i],
+                                slot + " isolated");
+      auto column = planner.ComputeFeatureColumn(queries[i], tables.training,
+                                                 tables.relevant);
+      ASSERT_TRUE(column.ok()) << slot;
+      ExpectColumnsBitIdentical(column.value(), many.value()[i],
+                                slot + " column");
+    }
 
-  QueryPlanner with_prefetch;
-  with_prefetch.set_morsel_rows(13);
-  auto a = with_prefetch.EvaluateMany(queries, tables.training, tables.relevant);
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-  EXPECT_GT(with_prefetch.last_morsel_stats().prefetched_builds, 0u);
-
-  QueryPlanner without_prefetch;
-  without_prefetch.set_morsel_rows(13);
-  without_prefetch.set_morsel_prefetch(false);
-  auto b = without_prefetch.EvaluateMany(queries, tables.training,
-                                         tables.relevant);
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  EXPECT_EQ(without_prefetch.last_morsel_stats().prefetched_builds, 0u);
-
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ExpectColumnsBitIdentical(b.value()[i], a.value()[i], "prefetch off");
+    auto failed =
+        planner.EvaluateMany(with_bad, tables.training, tables.relevant);
+    ASSERT_FALSE(failed.ok()) << context;
+    auto slots = planner.EvaluateManyIsolated(with_bad, tables.training,
+                                              tables.relevant);
+    ASSERT_TRUE(slots.ok()) << context;
+    EXPECT_FALSE(slots.value()[bad_slot].status.ok()) << context;
+    EXPECT_EQ(failed.status().code(), slots.value()[bad_slot].status.code())
+        << context;
   }
 }
 
@@ -522,7 +543,7 @@ TEST_F(MorselFaultTest, BuildFaultIsBatchWideEvenWhenIsolated) {
 
 TEST(MorselTest, PeakMemoryBoundedByMorselsNotTable) {
   // A table big enough that whole-table artifacts dominate: the morsel
-  // path's peak (2 in-flight morsels + per-group state) must undercut the
+  // path's peak (one in-flight morsel + per-group state) must undercut the
   // in-RAM path's, and a budget between the two peaks must pass the morsel
   // path while exhausting the in-RAM one.
   const size_t n = 20000;

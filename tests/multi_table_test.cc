@@ -4,7 +4,7 @@
 
 #include "core/augmenter.h"
 #include "data/multi_table_data.h"
-#include "query/executor.h"
+#include "query/query_planner.h"
 #include "stats/stats.h"
 
 namespace featlib {
@@ -127,12 +127,14 @@ TEST(MultiTableDataTest, PlantedSignalSurvivesTheFlatten) {
     labels[i] = labels_col.value()->AsDouble(i);
   }
 
-  auto golden = ComputeFeatureColumn(bundle.golden_query, bundle.training,
-                                     flat.value());
+  QueryPlanner planner;
+  auto golden = planner.ComputeFeatureColumn(bundle.golden_query,
+                                             bundle.training, flat.value());
   ASSERT_TRUE(golden.ok()) << golden.status().ToString();
   AggQuery unpredicated = bundle.golden_query;
   unpredicated.predicates.clear();
-  auto weak = ComputeFeatureColumn(unpredicated, bundle.training, flat.value());
+  auto weak =
+      planner.ComputeFeatureColumn(unpredicated, bundle.training, flat.value());
   ASSERT_TRUE(weak.ok());
 
   const double golden_mi = MutualInformation(golden.value(), labels, true);

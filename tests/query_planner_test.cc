@@ -3,7 +3,8 @@
 /// artifact-DAG deduplication and topology (via PlanStats), publish-once
 /// semantics under parallel prepare, determinism of parallel prepare across
 /// thread counts, eviction pinning, error propagation from staged builds,
-/// and a serving plan outliving the planner that compiled it.
+/// morsel stats that follow the last evaluation, and a serving plan
+/// outliving the planner that compiled it.
 
 #include <gtest/gtest.h>
 
@@ -445,6 +446,31 @@ TEST(QueryPlannerTest, ServingPlanOutlivesItsPlanner) {
   }
 }
 
+// --- Morsel stats -------------------------------------------------------------
+
+// last_morsel_stats() describes the last evaluation, whichever entry point ran
+// it: an in-RAM ComputeFeatureColumn after a morsel-mode EvaluateMany must
+// not report the earlier run's morsels.
+TEST(QueryPlannerTest, InRamEvaluationZeroesMorselStats) {
+  const Pair tables = MakePair();
+  QueryPlanner planner;
+  planner.set_morsel_rows(17);
+  ASSERT_TRUE(planner
+                  .EvaluateMany({MakeQuery(AggFunction::kVar, {})},
+                                tables.training, tables.relevant)
+                  .ok());
+  EXPECT_EQ(planner.last_morsel_stats().morsels, 10u);  // ceil(160 / 17)
+  EXPECT_EQ(planner.last_morsel_stats().sweeps, 2u);
+
+  planner.set_morsel_rows(0);
+  ASSERT_TRUE(planner
+                  .ComputeFeatureColumn(MakeQuery(AggFunction::kSum, {}),
+                                        tables.training, tables.relevant)
+                  .ok());
+  EXPECT_EQ(planner.last_morsel_stats().morsels, 0u);
+  EXPECT_EQ(planner.last_morsel_stats().sweeps, 0u);
+}
+
 // --- Error propagation from staged builds ------------------------------------
 
 TEST(QueryPlannerTest, StagedBuildErrorsAbortTheBatch) {
@@ -469,51 +495,6 @@ TEST(QueryPlannerTest, StagedBuildErrorsAbortTheBatch) {
   auto good = planner.EvaluateMany({MakeQuery(AggFunction::kSum, {})},
                                    tables.training, tables.relevant);
   EXPECT_TRUE(good.ok()) << good.status().ToString();
-}
-
-TEST(RetryPolicyTest, BackoffIsBoundedAndSeedDeterministic) {
-  QueryPlanner::RetryPolicy policy;
-  policy.backoff_ms = 10;
-  policy.max_backoff_ms = 80;
-  policy.jitter_seed = 42;
-  const uint64_t token = 0x1234abcdull;
-
-  // Deterministic: the same (policy, attempt, token) always yields the same
-  // delay, so a retried run replays the same backoff trajectory.
-  for (int attempt = 0; attempt < 12; ++attempt) {
-    const int a = QueryPlanner::RetryDelayMs(policy, attempt, token);
-    const int b = QueryPlanner::RetryDelayMs(policy, attempt, token);
-    EXPECT_EQ(a, b) << "attempt " << attempt;
-
-    // Bounded: jittered into [base/2, base] with base = min(10 << attempt, 80)
-    // — the cap stops the exponential, the jitter floor keeps real waiting.
-    const int base = std::min(80, attempt < 20 ? 10 << attempt : 80);
-    EXPECT_GE(a, base / 2) << "attempt " << attempt;
-    EXPECT_LE(a, base) << "attempt " << attempt;
-  }
-  // Late attempts never exceed the cap, no matter how large attempt grows.
-  EXPECT_LE(QueryPlanner::RetryDelayMs(policy, 1000, token), 80);
-
-  // Different seeds (and different tokens) de-synchronize concurrent
-  // retriers: at least one attempt in a short window must differ.
-  QueryPlanner::RetryPolicy other = policy;
-  other.jitter_seed = 43;
-  bool seed_differs = false;
-  bool token_differs = false;
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    seed_differs |= QueryPlanner::RetryDelayMs(other, attempt, token) !=
-                    QueryPlanner::RetryDelayMs(policy, attempt, token);
-    token_differs |= QueryPlanner::RetryDelayMs(policy, attempt, token + 1) !=
-                     QueryPlanner::RetryDelayMs(policy, attempt, token);
-  }
-  EXPECT_TRUE(seed_differs);
-  EXPECT_TRUE(token_differs);
-
-  // backoff_ms == 0 disables sleeping entirely (the test-suite default).
-  QueryPlanner::RetryPolicy none;
-  none.backoff_ms = 0;
-  EXPECT_EQ(QueryPlanner::RetryDelayMs(none, 0, token), 0);
-  EXPECT_EQ(QueryPlanner::RetryDelayMs(none, 5, token), 0);
 }
 
 }  // namespace
