@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # CI entry point: Release build + full ctest suite, then a ThreadSanitizer
 # build of the concurrency tests. The planner's parallel prepare
-# (build-then-publish into the ArtifactStore), the EvaluateMany fan-out, and
+# (build-then-publish into the ArtifactStore), the EvaluateMany fan-out, the
+# search's per-member training fan-out (FeatureEvaluator::ScoreEach), and
 # concurrent FittedAugmenter::Transform on one shared serving handle (map +
 # scatter over per-group values frozen at compile time) are the
-# multi-threaded code; TSan pins the "no locks needed" design of all three.
+# multi-threaded code; TSan pins the "no locks needed" design of all four.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -27,6 +28,16 @@ for backend in scalar simd; do
   FEATLIB_KERNEL_BACKEND="$backend" ctest --test-dir "$ROOT/build" \
     --output-on-failure -j "$JOBS" \
     -R 'executor_golden_test|executor_parallel_test|kernel_dispatch_test|serving_concurrency_test|morsel_test|augmenter_test'
+done
+
+# ---- Thread-count determinism: the fit's plan at 1, 2, 4 and 8 threads ------
+# (Pooled scoring trains each suggest pool's models on the thread pool and
+# publishes in pool order; determinism_test pins the FeatAug plan to the
+# golden recorded from the serial search, so every thread count must
+# reproduce it bit for bit.)
+for threads in 1 2 4 8; do
+  echo "ci.sh: determinism_test under FEATLIB_NUM_THREADS=$threads"
+  FEATLIB_NUM_THREADS="$threads" "$ROOT/build/determinism_test"
 done
 
 # ---- Bench record: serving warm-vs-cold + the search-pipeline comparison ---
@@ -194,8 +205,11 @@ done
 # (Benches/examples are skipped: TSan only needs the threaded paths, and the
 # instrumented build is slow. generator_test and search_session_test drive
 # the batched search pipeline end to end — SuggestBatch pools through
-# FeatureEvaluator::Features into the parallel EvaluateMany prepare/fan-out —
-# so they pin the pipeline's thread-safety claims too. checkpoint_test
+# FeatureEvaluator::ScoreEach into the parallel EvaluateMany prepare/fan-out
+# and the per-member training fan-out — so they pin the pipeline's
+# thread-safety claims too. feature_eval_test, template_id_test and
+# determinism_test cover the training fan-out directly: ScoreEach for every
+# score kind, QTI's pooled proxy scoring, and whole fits. checkpoint_test
 # exercises the async CheckpointWriter: fit-thread enqueue vs background
 # writer vs destructor drain. The serve_* tests cover the daemon stack:
 # registry load/evict/pin races, batcher coalescing + drain, and the full
@@ -215,6 +229,9 @@ TSAN_TESTS=(
   serving_concurrency_test
   generator_test
   search_session_test
+  feature_eval_test
+  template_id_test
+  determinism_test
   checkpoint_test
   plan_registry_test
   serve_batcher_test

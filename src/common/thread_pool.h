@@ -2,7 +2,8 @@
 
 /// \file thread_pool.h
 /// \brief Fixed-size thread pool for the parallel candidate-evaluation
-/// fan-out and the staged artifact-prepare phase. No external dependencies:
+/// fan-out, the staged artifact-prepare phase and the search's per-member
+/// model training. No external dependencies:
 /// std::jthread workers + one shared work-index counter per ParallelFor.
 ///
 /// Design constraints (see docs/ARCHITECTURE.md, "Parallel execution" and
@@ -30,6 +31,15 @@
 ///    batch (remaining chunks are abandoned, in-flight chunks finish), and
 ///    ParallelFor returns the kCancelled/kDeadlineExceeded Status. Limits
 ///    are therefore honored within one chunk of work.
+///  - **Who may call it.** The query planner, the morsel executor,
+///    FittedAugmenter and FeatureEvaluator::ScoreEach fan out on the pool.
+///    Nothing under src/ml or src/stats may call it: model training and
+///    the proxy statistics run *inside* ScoreEach's tasks, and ParallelFor
+///    is not reentrant.
+///  - **Placement.** Each worker starts on its own CPU (the i-th allowed
+///    CPU after the constructing thread's) and then gets its full affinity
+///    mask back, so the kernel may still migrate it. This keeps the pool
+///    from starting out stacked on its creator's CPU.
 ///  - ParallelForStages runs dependency layers: within a stage tasks are
 ///    independent and fan out in parallel; between stages the caller thread
 ///    runs a sequential `publish` callback (a barrier), which is where the

@@ -133,6 +133,8 @@ uint32_t FitSignature(const FeatAugProblem& problem,
 class FeatAug {
  public:
   FeatAug(FeatAugProblem problem, FeatAugOptions options);
+  /// Frees the search caches and returns the freed heap to the OS.
+  ~FeatAug();
 
   /// Runs QTI (unless disabled) + query generation; returns the plan.
   Result<AugmentationPlan> Fit();

@@ -11,6 +11,26 @@
 
 namespace featlib {
 
+namespace {
+
+/// A tripped ExecContext is a request to stop the whole batch, never a
+/// per-candidate defect to skip around.
+bool IsBatchFatal(const Status& s) {
+  return s.code() == StatusCode::kCancelled ||
+         s.code() == StatusCode::kDeadlineExceeded ||
+         s.code() == StatusCode::kResourceExhausted;
+}
+
+Status CheckFidelity(double fidelity) {
+  if (!(fidelity > 0.0) || fidelity > 1.0) {
+    return Status::InvalidArgument(
+        StrFormat("fidelity must lie in (0, 1], got %g", fidelity));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 const char* ProxyKindToString(ProxyKind proxy) {
   switch (proxy) {
     case ProxyKind::kMutualInformation:
@@ -45,7 +65,8 @@ Result<FeatureEvaluator> FeatureEvaluator::Create(
   out.split_ = MakeSplit(training.num_rows(), options.train_ratio,
                          options.valid_ratio, options.split_seed);
   // The whole search shares the process-wide pool: batched candidate
-  // evaluation fans out across cores (FEATLIB_NUM_THREADS / FeatAugConfig).
+  // evaluation and ScoreEach's trainings fan out across cores
+  // (FEATLIB_NUM_THREADS / FeatAugConfig).
   out.planner_.set_thread_pool(GlobalThreadPool());
   out.train_labels_.reserve(out.split_.train.size());
   for (uint32_t r : out.split_.train) out.train_labels_.push_back(out.base_.y[r]);
@@ -149,105 +170,125 @@ Result<std::vector<const std::vector<double>*>> FeatureEvaluator::Features(
   return Materialize(queries, /*slot_errors=*/nullptr);
 }
 
-Result<std::vector<FeatureEvaluator::FeatureSlot>>
-FeatureEvaluator::FeaturesIsolated(const std::vector<AggQuery>& queries) {
-  std::vector<Status> slot_errors(queries.size());
-  FEAT_ASSIGN_OR_RETURN(std::vector<const std::vector<double>*> values,
-                        Materialize(queries, &slot_errors));
-  std::vector<FeatureSlot> out(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    out[i].status = std::move(slot_errors[i]);
-    out[i].values = values[i];
-  }
-  return out;
-}
-
 Result<double> FeatureEvaluator::ProxyScore(const AggQuery& q, ProxyKind proxy) {
   FEAT_ASSIGN_OR_RETURN(const std::vector<double>* feature, Feature(q));
   ++num_proxy_evals_;
-  std::vector<double> train_feature;
-  train_feature.reserve(split_.train.size());
-  for (uint32_t r : split_.train) train_feature.push_back((*feature)[r]);
-
-  switch (proxy) {
-    case ProxyKind::kMutualInformation:
-      return MutualInformation(train_feature, train_labels_,
-                               task() != TaskKind::kRegression);
-    case ProxyKind::kSpearman:
-      return SpearmanProxy(train_feature, train_labels_);
-    case ProxyKind::kLogisticRegression: {
-      // Mini LR on base + candidate feature; proxy = validation metric
-      // converted so that higher is always better.
-      FEAT_ASSIGN_OR_RETURN(Dataset train, BuildDataset({q}, split_.train));
-      FEAT_ASSIGN_OR_RETURN(Dataset valid, BuildDataset({q}, split_.valid));
-      LinearModelOptions lr_options;
-      lr_options.epochs = 60;
-      FEAT_ASSIGN_OR_RETURN(
-          double metric,
-          TrainAndScore(ModelKind::kLogisticRegression, train, valid,
-                        options_.metric, options_.model_seed));
-      return -ScoreToLoss(metric);
-    }
-  }
-  return Status::InvalidArgument("unknown proxy kind");
-}
-
-Result<Dataset> FeatureEvaluator::BuildDataset(const std::vector<AggQuery>& queries,
-                                               const std::vector<uint32_t>& rows) {
-  // Materialize all query features first (full-length, cached, batched).
-  FEAT_ASSIGN_OR_RETURN(std::vector<const std::vector<double>*> features,
-                        Features(queries));
-  Dataset full = base_;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    FEAT_RETURN_NOT_OK(
-        full.AddFeature(StrFormat("q%zu", i), *features[i]));
-  }
-  return full.GatherRows(rows);
+  return ScoreMember(*feature, ScoreWhat::Proxy(proxy));
 }
 
 Result<double> FeatureEvaluator::ModelScore(const std::vector<AggQuery>& queries) {
-  FEAT_ASSIGN_OR_RETURN(Dataset train, BuildDataset(queries, split_.train));
-  FEAT_ASSIGN_OR_RETURN(Dataset valid, BuildDataset(queries, split_.valid));
-  ++num_model_evals_;
-  return TrainAndScore(options_.model, train, valid, options_.metric,
-                       options_.model_seed);
+  return ModelScoreAtFidelity(queries, 1.0);
 }
 
 Result<double> FeatureEvaluator::ModelScoreAtFidelity(
     const std::vector<AggQuery>& queries, double fidelity) {
-  if (!(fidelity > 0.0) || fidelity > 1.0) {
-    return Status::InvalidArgument(
-        StrFormat("fidelity must lie in (0, 1], got %g", fidelity));
+  FEAT_RETURN_NOT_OK(CheckFidelity(fidelity));
+  FEAT_ASSIGN_OR_RETURN(std::vector<const std::vector<double>*> columns,
+                        Features(queries));
+  ++num_model_evals_;
+  return TrainOn(MakeDownstreamModel(), columns, TrainRowsAt(fidelity),
+                 split_.valid);
+}
+
+Result<std::vector<Result<double>>> FeatureEvaluator::ScoreEach(
+    const std::vector<AggQuery>& queries, const ScoreWhat& what) {
+  if (!what.proxy) FEAT_RETURN_NOT_OK(CheckFidelity(what.fidelity));
+  // Materialize on this thread. No other cache call runs until the batch
+  // ends, so the returned cache pointers stay valid for the workers.
+  std::vector<Status> slot_errors(queries.size());
+  FEAT_ASSIGN_OR_RETURN(std::vector<const std::vector<double>*> columns,
+                        Materialize(queries, &slot_errors));
+  // Train on the pool, one member per chunk so the context is checked
+  // before every training; each task writes only its own slot.
+  std::vector<Result<double>> scores(queries.size(), Result<double>(0.0));
+  FEAT_RETURN_NOT_OK(GlobalThreadPool()->ParallelFor(
+      queries.size(),
+      [&](size_t i) {
+        scores[i] = slot_errors[i].ok() ? ScoreMember(*columns[i], what)
+                                        : Result<double>(slot_errors[i]);
+      },
+      /*chunk=*/1, ctx_));
+  // Every member whose feature built was scored.
+  size_t trained = 0;
+  for (const Status& error : slot_errors) trained += error.ok() ? 1 : 0;
+  (what.proxy ? num_proxy_evals_ : num_model_evals_) += trained;
+  for (const Result<double>& score : scores) {
+    if (!score.ok() && IsBatchFatal(score.status())) return score.status();
   }
-  if (fidelity >= 1.0) return ModelScore(queries);
+  return scores;
+}
+
+std::vector<uint32_t> FeatureEvaluator::TrainRowsAt(double fidelity) const {
+  if (fidelity >= 1.0) return split_.train;
   const size_t n = std::max<size_t>(
       2, static_cast<size_t>(std::ceil(fidelity * split_.train.size())));
-  std::vector<uint32_t> sub(split_.train.begin(),
-                            split_.train.begin() +
-                                std::min(n, split_.train.size()));
-  FEAT_ASSIGN_OR_RETURN(Dataset train, BuildDataset(queries, sub));
-  FEAT_ASSIGN_OR_RETURN(Dataset valid, BuildDataset(queries, split_.valid));
-  ++num_model_evals_;
-  return TrainAndScore(options_.model, train, valid, options_.metric,
+  const auto end = static_cast<ptrdiff_t>(std::min(n, split_.train.size()));
+  return std::vector<uint32_t>(split_.train.begin(), split_.train.begin() + end);
+}
+
+Result<double> FeatureEvaluator::TrainOn(
+    std::unique_ptr<Model> model,
+    const std::vector<const std::vector<double>*>& columns,
+    const std::vector<uint32_t>& train_rows,
+    const std::vector<uint32_t>& eval_rows) const {
+  if (model == nullptr) return Status::InvalidArgument("unknown model kind");
+  std::vector<std::string> names;
+  names.reserve(columns.size());
+  for (size_t i = 0; i < columns.size(); ++i) {
+    names.push_back(StrFormat("q%zu", i));
+  }
+  return TrainAndScore(model.get(), base_.GatherRows(train_rows, columns, names),
+                       base_.GatherRows(eval_rows, columns, names),
+                       options_.metric);
+}
+
+Result<double> FeatureEvaluator::ScoreMember(const std::vector<double>& column,
+                                             const ScoreWhat& what) const {
+  if (!what.proxy) {
+    return TrainOn(MakeDownstreamModel(), {&column}, TrainRowsAt(what.fidelity),
+                   split_.valid);
+  }
+  if (*what.proxy == ProxyKind::kLogisticRegression) {
+    // Mini LR on base + candidate feature: 60 epochs instead of the full
+    // model's 200 (a regression task falls back to the closed-form linear
+    // model). The proxy is the validation metric oriented higher-is-better.
+    std::unique_ptr<Model> mini;
+    if (task() == TaskKind::kRegression) {
+      mini = MakeModel(ModelKind::kLogisticRegression, task(),
                        options_.model_seed);
+    } else {
+      LinearModelOptions lr_options;
+      lr_options.epochs = 60;
+      lr_options.seed = options_.model_seed;
+      mini = std::make_unique<LogisticRegressionModel>(task(), lr_options);
+    }
+    FEAT_ASSIGN_OR_RETURN(double metric, TrainOn(std::move(mini), {&column},
+                                                 split_.train, split_.valid));
+    return -ScoreToLoss(metric);
+  }
+  std::vector<double> train_feature;
+  train_feature.reserve(split_.train.size());
+  for (uint32_t r : split_.train) train_feature.push_back(column[r]);
+  if (*what.proxy == ProxyKind::kSpearman) {
+    return SpearmanProxy(train_feature, train_labels_);
+  }
+  return MutualInformation(train_feature, train_labels_,
+                           task() != TaskKind::kRegression);
 }
 
 Result<double> FeatureEvaluator::BaselineModelScore() {
   if (baseline_computed_) return baseline_score_;
-  FEAT_ASSIGN_OR_RETURN(Dataset train, BuildDataset({}, split_.train));
-  FEAT_ASSIGN_OR_RETURN(Dataset valid, BuildDataset({}, split_.valid));
-  FEAT_ASSIGN_OR_RETURN(baseline_score_,
-                        TrainAndScore(options_.model, train, valid,
-                                      options_.metric, options_.model_seed));
+  FEAT_ASSIGN_OR_RETURN(
+      baseline_score_,
+      TrainOn(MakeDownstreamModel(), {}, split_.train, split_.valid));
   baseline_computed_ = true;
   return baseline_score_;
 }
 
 Result<double> FeatureEvaluator::TestScore(const std::vector<AggQuery>& queries) {
-  FEAT_ASSIGN_OR_RETURN(Dataset train, BuildDataset(queries, split_.train));
-  FEAT_ASSIGN_OR_RETURN(Dataset test, BuildDataset(queries, split_.test));
-  return TrainAndScore(options_.model, train, test, options_.metric,
-                       options_.model_seed);
+  FEAT_ASSIGN_OR_RETURN(std::vector<const std::vector<double>*> columns,
+                        Features(queries));
+  return TrainOn(MakeDownstreamModel(), columns, split_.train, split_.test);
 }
 
 }  // namespace featlib

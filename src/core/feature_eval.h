@@ -6,6 +6,8 @@
 /// real downstream model (Problem 1's L(A(D_train), D_valid)), and caches
 /// feature columns across the search.
 
+#include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -60,22 +62,6 @@ class FeatureEvaluator {
   Result<std::vector<const std::vector<double>*>> Features(
       const std::vector<AggQuery>& queries);
 
-  /// One slot of a partial-failure-isolated batch: exactly one of
-  /// {values, !status.ok()} holds.
-  struct FeatureSlot {
-    Status status;
-    const std::vector<double>* values = nullptr;  // cache-owned when ok
-  };
-
-  /// Partial-failure-isolated variant of Features(): one failing candidate
-  /// (bad spec, injected build/kernel fault) fails only its own slot, and the
-  /// surviving columns are byte-identical to a fresh Features() of the
-  /// survivors. Failed candidates are never cached, so a later retry
-  /// re-evaluates them. The outer Result fails only for batch-wide errors —
-  /// a tripped ExecContext or exhausted memory budget.
-  Result<std::vector<FeatureSlot>> FeaturesIsolated(
-      const std::vector<AggQuery>& queries);
-
   /// Proxy score of the single feature on the training split; higher is
   /// better for every proxy kind.
   Result<double> ProxyScore(const AggQuery& q, ProxyKind proxy);
@@ -83,11 +69,6 @@ class FeatureEvaluator {
   /// Real model evaluation: base features plus all `queries` features,
   /// trained on the train split, scored on the validation split.
   Result<double> ModelScore(const std::vector<AggQuery>& queries);
-
-  /// Real model evaluation of the base features plus one query feature.
-  Result<double> ModelScoreSingle(const AggQuery& q) {
-    return ModelScore({q});
-  }
 
   /// Reduced-fidelity model evaluation for Hyperband/BOHB: trains on the
   /// first ceil(fidelity * |train|) rows of the shuffled train split (a
@@ -97,6 +78,40 @@ class FeatureEvaluator {
   /// fidelity = 1 is exactly ModelScore.
   Result<double> ModelScoreAtFidelity(const std::vector<AggQuery>& queries,
                                       double fidelity);
+
+  /// What ScoreEach computes for every member: the downstream model's
+  /// validation metric at a training fidelity (ModelScoreAtFidelity; 1 is
+  /// ModelScore), or a proxy score (ProxyScore).
+  struct ScoreWhat {
+    std::optional<ProxyKind> proxy;  // set: proxy score; unset: model metric
+    double fidelity = 1.0;           // model metric only
+
+    static ScoreWhat Metric(double fidelity = 1.0) {
+      return {std::nullopt, fidelity};
+    }
+    static ScoreWhat Proxy(ProxyKind kind) { return {kind, 1.0}; }
+  };
+
+  /// Scores each query on its own (base features plus that one query
+  /// feature): slot i is bit for bit what ModelScoreAtFidelity({q_i}, f) or
+  /// ProxyScore(q_i, proxy) returns, at every thread count.
+  ///
+  /// The pool's feature columns are materialized in one isolated planner
+  /// pass on the calling thread (the feature cache is not thread-safe): one
+  /// failing candidate (bad spec, injected build/kernel fault) fails only
+  /// its own slot, the surviving columns are byte-identical to a batch
+  /// without it, and failed candidates are never cached, so a later batch
+  /// re-attempts them.
+  /// Each member's train/valid gather and training then run on the global
+  /// thread pool into the member's own slot; that work only reads const
+  /// state, so no slot depends on scheduling. A member whose feature build
+  /// or scoring fails carries its Status in its slot, and
+  /// num_model_evals / num_proxy_evals advance by the trainings that ran.
+  /// The call itself fails on an invalid fidelity and on batch-fatal
+  /// statuses: a tripped ExecContext (checked before every member) or any
+  /// slot's kCancelled / kDeadlineExceeded / kResourceExhausted.
+  Result<std::vector<Result<double>>> ScoreEach(
+      const std::vector<AggQuery>& queries, const ScoreWhat& what);
 
   /// Model metric with base features only (cached after first call).
   Result<double> BaselineModelScore();
@@ -158,7 +173,7 @@ class FeatureEvaluator {
   FeatureEvaluator() = default;
 
   /// The dedup-against-cache pass behind Feature, Features and
-  /// FeaturesIsolated: opens an epoch, pins every cache hit, evaluates each
+  /// ScoreEach: opens an epoch, pins every cache hit, evaluates each
   /// distinct miss in one planner batch and caches the results. Returns one
   /// cache pointer per query. `slot_errors` selects the planner contract:
   /// nullptr is fail-fast (EvaluateMany); non-null must be sized to
@@ -167,9 +182,27 @@ class FeatureEvaluator {
   Result<std::vector<const std::vector<double>*>> Materialize(
       const std::vector<AggQuery>& queries, std::vector<Status>* slot_errors);
 
-  /// Builds base + query features dataset rows for the given split rows.
-  Result<Dataset> BuildDataset(const std::vector<AggQuery>& queries,
-                               const std::vector<uint32_t>& rows);
+  /// The downstream model, fresh and seeded by `model_seed`.
+  std::unique_ptr<Model> MakeDownstreamModel() const {
+    return MakeModel(options_.model, task(), options_.model_seed);
+  }
+
+  /// The first ceil(fidelity * |train|) rows (at least 2) of the train
+  /// split; `fidelity` must already be validated.
+  std::vector<uint32_t> TrainRowsAt(double fidelity) const;
+
+  /// Trains `model` on the `train_rows` of base features plus `columns` and
+  /// scores it on `eval_rows`. Gathers each split in one pass and reads only
+  /// const state, so it may run on pool workers.
+  Result<double> TrainOn(std::unique_ptr<Model> model,
+                         const std::vector<const std::vector<double>*>& columns,
+                         const std::vector<uint32_t>& train_rows,
+                         const std::vector<uint32_t>& eval_rows) const;
+
+  /// One member's score from its feature column (ScoreEach's per-member
+  /// task; the single-query calls share it). Reads only const state.
+  Result<double> ScoreMember(const std::vector<double>& column,
+                             const ScoreWhat& what) const;
 
   Table training_;
   Table relevant_;

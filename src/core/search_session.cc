@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "common/str_util.h"
 #include "core/checkpoint.h"
@@ -30,15 +31,35 @@ std::string FidelityKey(double fidelity, const std::string& content_key) {
   return out;
 }
 
-/// A tripped ExecContext is a request to stop the whole batch, never a
-/// per-candidate defect to skip around.
-bool IsBatchFatal(const Status& s) {
-  return s.code() == StatusCode::kCancelled ||
-         s.code() == StatusCode::kDeadlineExceeded ||
-         s.code() == StatusCode::kResourceExhausted;
-}
-
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The uncached members of one pool as a FeatureEvaluator::ScoreEach batch.
+/// `missing` lists their pool indices in pool order and `slot[j]` is the
+/// batch slot that scores missing[j].
+struct PendingBatch {
+  std::vector<size_t> missing;
+  std::vector<size_t> slot;
+  std::vector<AggQuery> queries;
+};
+
+/// Groups the `missing` members of `pool` into one batch. With `dedup`, an
+/// in-pool duplicate (same key) shares its first occurrence's slot, so it
+/// is scored once; publishing then walks `missing` in pool order.
+PendingBatch GroupMissing(const std::vector<AggQuery>& pool,
+                          std::vector<size_t> missing,
+                          const std::vector<std::string>& keys, bool dedup) {
+  PendingBatch batch;
+  batch.slot.reserve(missing.size());
+  std::unordered_map<std::string, size_t> first_slot;
+  for (size_t i : missing) {
+    size_t slot = batch.queries.size();
+    if (dedup) slot = first_slot.emplace(keys[i], slot).first->second;
+    if (slot == batch.queries.size()) batch.queries.push_back(pool[i]);
+    batch.slot.push_back(slot);
+  }
+  batch.missing = std::move(missing);
+  return batch;
+}
 
 }  // namespace
 
@@ -153,42 +174,32 @@ Result<std::vector<double>> SearchSession::ProxyScores(
     return out;
   }
 
-  // One EvaluateManyIsolated pass materializes every uncached member's
-  // feature column; the per-member ProxyScore calls below then hit the
-  // feature cache and only pay the statistic. A member whose build failed
-  // scores -inf and is recorded, without voiding the rest of the pool.
-  std::vector<AggQuery> uncached;
-  uncached.reserve(missing.size());
-  for (size_t i : missing) uncached.push_back(pool[i]);
+  // Score every distinct uncached member in one ScoreEach batch, then
+  // publish in pool order. A member whose build or scoring failed scores
+  // -inf and is recorded, without voiding the rest of the pool.
+  const PendingBatch batch =
+      GroupMissing(pool, std::move(missing), keys, /*dedup=*/true);
   const size_t proxy_before = evaluator_->num_proxy_evals();
-  FEAT_ASSIGN_OR_RETURN(std::vector<FeatureEvaluator::FeatureSlot> slots,
-                        evaluator_->FeaturesIsolated(uncached));
-  for (size_t j = 0; j < missing.size(); ++j) {
-    const size_t i = missing[j];
-    // Deadlines stay honored even when every feature is already cached and
-    // the planner (with its own checks) is never entered.
-    FEAT_RETURN_NOT_OK(ExecContext::CheckFor(evaluator_->exec_context()));
-    auto it = proxy_cache_.find(keys[i]);
-    if (it != proxy_cache_.end()) {  // duplicate earlier in this pool
-      out[i] = it->second;
-      ++counters.proxy_cache_hits;
-      continue;
-    }
-    if (!slots[j].status.ok()) {
-      RecordFailure(pool[i].CacheKey(), slots[j].status);
-      out[i] = -kInf;
-      continue;
-    }
-    Result<double> score = evaluator_->ProxyScore(pool[i], proxy);
+  FEAT_ASSIGN_OR_RETURN(
+      std::vector<Result<double>> scores,
+      evaluator_->ScoreEach(batch.queries,
+                            FeatureEvaluator::ScoreWhat::Proxy(proxy)));
+  for (size_t j = 0; j < batch.missing.size(); ++j) {
+    const size_t i = batch.missing[j];
+    const Result<double>& score = scores[batch.slot[j]];
     if (!score.ok()) {
-      if (IsBatchFatal(score.status())) return score.status();
       RecordFailure(pool[i].CacheKey(), score.status());
       out[i] = -kInf;
       continue;
     }
-    proxy_cache_.emplace(keys[i], score.value());
-    ++revision_;
-    out[i] = score.value();
+    // A duplicate earlier in this pool already published the score.
+    auto [it, inserted] = proxy_cache_.emplace(keys[i], score.value());
+    if (inserted) {
+      ++revision_;
+    } else {
+      ++counters.proxy_cache_hits;
+    }
+    out[i] = it->second;
   }
   counters.proxy_evals += evaluator_->num_proxy_evals() - proxy_before;
   FEAT_RETURN_NOT_OK(RoundBoundary());
@@ -217,43 +228,33 @@ Result<std::vector<SearchSession::ModelOutcome>> SearchSession::ModelScores(
     return out;
   }
 
-  std::vector<AggQuery> uncached;
-  uncached.reserve(missing.size());
-  for (size_t i : missing) uncached.push_back(pool[i]);
+  const PendingBatch batch =
+      GroupMissing(pool, std::move(missing), keys, /*dedup=*/true);
   const size_t model_before = evaluator_->num_model_evals();
-  FEAT_ASSIGN_OR_RETURN(std::vector<FeatureEvaluator::FeatureSlot> slots,
-                        evaluator_->FeaturesIsolated(uncached));
+  FEAT_ASSIGN_OR_RETURN(
+      std::vector<Result<double>> metrics,
+      evaluator_->ScoreEach(batch.queries, FeatureEvaluator::ScoreWhat::Metric()));
   // Skipped members get {NaN metric, +inf loss}: +inf keeps loss-ascending
   // sorts a strict weak order (NaN there would corrupt std::sort).
   const ModelOutcome failed{std::numeric_limits<double>::quiet_NaN(), kInf};
-  for (size_t j = 0; j < missing.size(); ++j) {
-    const size_t i = missing[j];
-    // One check per model training: trainings dominate a warm-cache round,
-    // so this is the boundary that keeps deadlines responsive.
-    FEAT_RETURN_NOT_OK(ExecContext::CheckFor(evaluator_->exec_context()));
-    auto it = model_cache_.find(keys[i]);
-    if (it != model_cache_.end()) {  // duplicate earlier in this pool
-      out[i] = it->second;
-      ++counters.model_cache_hits;
-      continue;
-    }
-    if (!slots[j].status.ok()) {
-      RecordFailure(keys[i], slots[j].status);
-      out[i] = failed;
-      continue;
-    }
-    Result<double> metric = evaluator_->ModelScoreSingle(pool[i]);
+  for (size_t j = 0; j < batch.missing.size(); ++j) {
+    const size_t i = batch.missing[j];
+    const Result<double>& metric = metrics[batch.slot[j]];
     if (!metric.ok()) {
-      if (IsBatchFatal(metric.status())) return metric.status();
       RecordFailure(keys[i], metric.status());
       out[i] = failed;
       continue;
     }
-    const ModelOutcome outcome{metric.value(),
-                               evaluator_->ScoreToLoss(metric.value())};
-    model_cache_.emplace(keys[i], outcome);
-    ++revision_;
-    out[i] = outcome;
+    // A duplicate earlier in this pool already published the outcome.
+    auto [it, inserted] = model_cache_.emplace(
+        keys[i],
+        ModelOutcome{metric.value(), evaluator_->ScoreToLoss(metric.value())});
+    if (inserted) {
+      ++revision_;
+    } else {
+      ++counters.model_cache_hits;
+    }
+    out[i] = it->second;
   }
   counters.model_evals += evaluator_->num_model_evals() - model_before;
   FEAT_RETURN_NOT_OK(RoundBoundary());
@@ -285,25 +286,21 @@ Result<std::vector<double>> SearchSession::FidelityLosses(
     return out;
   }
 
-  std::vector<AggQuery> uncached;
-  uncached.reserve(missing.size());
-  for (size_t i : missing) uncached.push_back(pool[i]);
+  // No in-pool dedup: within-run rung repeats recompute (see file comment),
+  // so every missing member trains.
+  const PendingBatch batch =
+      GroupMissing(pool, std::move(missing), keys, /*dedup=*/false);
   const size_t model_before = evaluator_->num_model_evals();
-  FEAT_ASSIGN_OR_RETURN(std::vector<FeatureEvaluator::FeatureSlot> slots,
-                        evaluator_->FeaturesIsolated(uncached));
-  for (size_t j = 0; j < missing.size(); ++j) {
-    const size_t i = missing[j];
-    FEAT_RETURN_NOT_OK(ExecContext::CheckFor(evaluator_->exec_context()));
-    if (!slots[j].status.ok()) {
+  FEAT_ASSIGN_OR_RETURN(
+      std::vector<Result<double>> metrics,
+      evaluator_->ScoreEach(batch.queries,
+                            FeatureEvaluator::ScoreWhat::Metric(fidelity)));
+  for (size_t j = 0; j < batch.missing.size(); ++j) {
+    const size_t i = batch.missing[j];
+    const Result<double>& metric = metrics[batch.slot[j]];
+    if (!metric.ok()) {
       // +inf loss: never promoted by successive halving, never NaN in a
       // loss-ascending sort.
-      RecordFailure(pool[i].CacheKey(), slots[j].status);
-      out[i] = kInf;
-      continue;
-    }
-    Result<double> metric = evaluator_->ModelScoreAtFidelity({pool[i]}, fidelity);
-    if (!metric.ok()) {
-      if (IsBatchFatal(metric.status())) return metric.status();
       RecordFailure(pool[i].CacheKey(), metric.status());
       out[i] = kInf;
       continue;

@@ -5,10 +5,14 @@
 ///
 /// The search pipeline is suggest-batch -> pooled evaluate -> observe-all:
 /// every optimizer proposes a *pool* of configurations
-/// (Optimizer::SuggestBatch), the pool's feature columns are materialized in
-/// one FeatureEvaluator::Features / QueryPlanner::EvaluateMany pass, and the
-/// scores are observed back in proposal order. The SearchSession owns what
-/// must persist *across* those rounds — and across the templates of one Fit:
+/// (Optimizer::SuggestBatch), the pool is scored in one
+/// FeatureEvaluator::ScoreEach batch (features materialized in one
+/// QueryPlanner pass, then each member trained or proxy-scored on the
+/// thread pool), and the scores are observed back in proposal order. The
+/// session publishes a batch into its caches, failure ledger and revision in
+/// pool order, so everything a checkpoint or an optimizer sees is the same
+/// at every thread count. The SearchSession owns what must persist
+/// *across* those rounds — and across the templates of one Fit:
 ///
 ///   - the proxy-score cache (a query's MI/SC/LR proxy is a pure function of
 ///     its feature column and the split, so QTI nodes and warm-up rounds
@@ -63,7 +67,7 @@ const char* SearchStageToString(SearchStage stage);
 
 /// \brief One Fit run's shared search state. Not thread-safe; one search
 /// drives it from one thread (its pooled evaluations parallelize internally
-/// through the evaluator's planner).
+/// through FeatureEvaluator::ScoreEach and the evaluator's planner).
 class SearchSession {
  public:
   explicit SearchSession(FeatureEvaluator* evaluator) : evaluator_(evaluator) {}
@@ -92,13 +96,12 @@ class SearchSession {
     double loss = 0.0;
   };
 
-  /// Proxy scores of a pool, in pool order. Uncached members are
-  /// materialized through one FeaturesIsolated()/EvaluateManyIsolated pass,
-  /// then scored; results are cached by (proxy kind, query content key).
-  /// Duplicates in the pool are scored once. When `keys` is non-null it
-  /// receives each member's content key (CacheKey) in pool order — the
-  /// session computes them anyway, so callers deduplicating by key need not
-  /// re-serialize.
+  /// Proxy scores of a pool, in pool order. Uncached members are scored in
+  /// one FeatureEvaluator::ScoreEach batch; results are cached by (proxy
+  /// kind, query content key). Duplicates in the pool are scored once.
+  /// When `keys` is non-null it receives each member's content key
+  /// (CacheKey) in pool order — the session computes them anyway, so
+  /// callers deduplicating by key need not re-serialize.
   ///
   /// **Partial-failure isolation:** a member whose feature build or scoring
   /// fails is skipped-and-recorded (see failed_candidates()) and scores
@@ -111,8 +114,9 @@ class SearchSession {
                                           std::vector<std::string>* keys = nullptr);
 
   /// Real-model outcomes of a pool, in pool order. Uncached members share
-  /// one FeaturesIsolated() pass; each then pays exactly one model training,
-  /// cached by query content key (TrainAndScore is deterministic by seed).
+  /// one ScoreEach batch; each distinct member pays exactly one model
+  /// training, cached by query content key (TrainAndScore is deterministic
+  /// by seed).
   /// `keys` as in ProxyScores. Failed members are skipped-and-recorded with
   /// outcome {metric = NaN, loss = +infinity} — the loss convention keeps
   /// loss-ascending sorts a strict weak order; batch-fatal statuses as in
@@ -122,10 +126,11 @@ class SearchSession {
       std::vector<std::string>* keys = nullptr);
 
   /// Reduced-fidelity losses of a rung pool (Hyperband/BOHB), in pool
-  /// order. One FeaturesIsolated() pass for the pool; per-member subsample
-  /// trainings are never cached (see file comment). Failed members are
-  /// skipped-and-recorded with loss +infinity (never promoted by successive
-  /// halving); batch-fatal statuses as in ProxyScores.
+  /// order. One ScoreEach batch for the pool; per-member subsample
+  /// trainings are never cached (see file comment), so in-pool duplicates
+  /// train again. Failed members are skipped-and-recorded with loss
+  /// +infinity (never promoted by successive halving); batch-fatal
+  /// statuses as in ProxyScores.
   Result<std::vector<double>> FidelityLosses(const std::vector<AggQuery>& pool,
                                              double fidelity);
 

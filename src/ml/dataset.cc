@@ -62,21 +62,31 @@ Dataset Dataset::SelectFeatures(const std::vector<size_t>& cols) const {
   return out;
 }
 
-Dataset Dataset::GatherRows(const std::vector<uint32_t>& rows) const {
+Dataset Dataset::GatherRows(const std::vector<uint32_t>& rows,
+                            const std::vector<const std::vector<double>*>& extra,
+                            const std::vector<std::string>& extra_names) const {
+  FEAT_CHECK(extra_names.size() == extra.size(), "GatherRows extra names mismatch");
+  for (const std::vector<double>* column : extra) {
+    FEAT_CHECK(column->size() == n, "GatherRows extra column length mismatch");
+  }
   Dataset out;
-  out.d = d;
+  out.d = d + extra.size();
   out.n = rows.size();
   out.task = task;
   out.num_classes = num_classes;
   out.feature_names = feature_names;
-  out.x.resize(rows.size() * d);
-  out.y.resize(rows.size());
+  out.feature_names.insert(out.feature_names.end(), extra_names.begin(),
+                           extra_names.end());
+  out.x.resize(out.n * out.d);
+  out.y.resize(out.n);
   for (size_t i = 0; i < rows.size(); ++i) {
-    FEAT_CHECK(rows[i] < n, "GatherRows out of range");
-    std::copy(x.begin() + static_cast<ptrdiff_t>(rows[i] * d),
-              x.begin() + static_cast<ptrdiff_t>((rows[i] + 1) * d),
-              out.x.begin() + static_cast<ptrdiff_t>(i * d));
-    out.y[i] = y[rows[i]];
+    const size_t r = rows[i];
+    FEAT_CHECK(r < n, "GatherRows out of range");
+    double* dst = out.x.data() + i * out.d;
+    std::copy(x.begin() + static_cast<ptrdiff_t>(r * d),
+              x.begin() + static_cast<ptrdiff_t>((r + 1) * d), dst);
+    for (size_t j = 0; j < extra.size(); ++j) dst[d + j] = (*extra[j])[r];
+    out.y[i] = y[r];
   }
   return out;
 }

@@ -49,8 +49,13 @@ struct Dataset {
   /// Keeps only the listed feature columns (order preserved as given).
   Dataset SelectFeatures(const std::vector<size_t>& cols) const;
 
-  /// Gathers rows by index.
-  Dataset GatherRows(const std::vector<uint32_t>& rows) const;
+  /// Gathers rows by index. Each `extra` column (n entries, named by the
+  /// matching `extra_names` entry) is appended after the existing features
+  /// in the same pass, so a split of base + candidate features costs one
+  /// output-sized write and no full-height intermediate.
+  Dataset GatherRows(const std::vector<uint32_t>& rows,
+                     const std::vector<const std::vector<double>*>& extra = {},
+                     const std::vector<std::string>& extra_names = {}) const;
 
   /// \brief Builds a dataset from a table.
   ///
@@ -76,7 +81,8 @@ SplitIndices MakeSplit(size_t n, double train_ratio, double valid_ratio,
 
 /// \brief Replaces NaNs per column with the column mean computed over
 /// `reference` (pass the training split to avoid leakage). Columns that are
-/// all-NaN in the reference impute to 0.
+/// all-NaN in the reference impute to 0. `target` may be `&reference`:
+/// each column's mean is taken before that column is written.
 void ImputeNanInPlace(Dataset* target, const Dataset& reference);
 
 /// \brief Z-score standardizer fitted on one dataset, applied to others.

@@ -1,6 +1,7 @@
 #include "ml/evaluator.h"
 
 #include <cmath>
+#include <utility>
 
 namespace featlib {
 
@@ -16,52 +17,54 @@ MetricKind DefaultMetricFor(TaskKind task) {
   return MetricKind::kAuc;
 }
 
-Result<double> TrainAndScore(ModelKind kind, const Dataset& train,
-                             const Dataset& valid, MetricKind metric,
-                             uint64_t seed) {
+Result<double> TrainAndScore(Model* model, Dataset train, Dataset valid,
+                             MetricKind metric) {
   if (train.d == 0) {
     return Status::InvalidArgument("cannot train on zero features");
   }
-  Dataset train_imputed = train;
-  Dataset valid_imputed = valid;
-  ImputeNanInPlace(&train_imputed, train);
-  ImputeNanInPlace(&valid_imputed, train);
-
-  auto model = MakeModel(kind, train.task, seed);
-  if (model == nullptr) return Status::InvalidArgument("unknown model kind");
-  FEAT_RETURN_NOT_OK(model->Fit(train_imputed));
+  // Valid first: both splits take their means from the unimputed train rows.
+  ImputeNanInPlace(&valid, train);
+  ImputeNanInPlace(&train, train);
+  FEAT_RETURN_NOT_OK(model->Fit(train));
 
   switch (metric) {
     case MetricKind::kAuc: {
-      const auto scores = model->PredictScore(valid_imputed);
-      return Auc(valid_imputed.y, scores);
+      const auto scores = model->PredictScore(valid);
+      return Auc(valid.y, scores);
     }
     case MetricKind::kF1Macro: {
-      const auto pred = model->PredictClass(valid_imputed);
-      std::vector<int> labels(valid_imputed.n);
-      for (size_t i = 0; i < valid_imputed.n; ++i) {
-        labels[i] = static_cast<int>(std::llround(valid_imputed.y[i]));
+      const auto pred = model->PredictClass(valid);
+      std::vector<int> labels(valid.n);
+      for (size_t i = 0; i < valid.n; ++i) {
+        labels[i] = static_cast<int>(std::llround(valid.y[i]));
       }
-      return F1Macro(labels, pred, valid_imputed.num_classes);
+      return F1Macro(labels, pred, valid.num_classes);
     }
     case MetricKind::kRmse: {
-      const auto pred = model->PredictScore(valid_imputed);
-      return Rmse(valid_imputed.y, pred);
+      const auto pred = model->PredictScore(valid);
+      return Rmse(valid.y, pred);
     }
     case MetricKind::kAccuracy: {
-      const auto pred = model->PredictClass(valid_imputed);
-      std::vector<int> labels(valid_imputed.n);
-      for (size_t i = 0; i < valid_imputed.n; ++i) {
-        labels[i] = static_cast<int>(std::llround(valid_imputed.y[i]));
+      const auto pred = model->PredictClass(valid);
+      std::vector<int> labels(valid.n);
+      for (size_t i = 0; i < valid.n; ++i) {
+        labels[i] = static_cast<int>(std::llround(valid.y[i]));
       }
       return Accuracy(labels, pred);
     }
     case MetricKind::kLogLoss: {
-      const auto scores = model->PredictScore(valid_imputed);
-      return LogLoss(valid_imputed.y, scores);
+      const auto scores = model->PredictScore(valid);
+      return LogLoss(valid.y, scores);
     }
   }
   return Status::InvalidArgument("unknown metric");
+}
+
+Result<double> TrainAndScore(ModelKind kind, Dataset train, Dataset valid,
+                             MetricKind metric, uint64_t seed) {
+  auto model = MakeModel(kind, train.task, seed);
+  if (model == nullptr) return Status::InvalidArgument("unknown model kind");
+  return TrainAndScore(model.get(), std::move(train), std::move(valid), metric);
 }
 
 double MetricToLoss(MetricKind metric, double value) {

@@ -13,13 +13,18 @@ namespace featlib {
 /// classification, macro-F1 for multi-class, RMSE for regression.
 MetricKind DefaultMetricFor(TaskKind task);
 
-/// \brief Trains `kind` on `train` and scores it on `valid`.
+/// \brief Trains `model` on `train` and scores it on `valid`.
 ///
-/// Inputs may contain NaN; both splits are imputed with the training means
-/// first. Returns the metric value (orientation per MetricHigherIsBetter).
-Result<double> TrainAndScore(ModelKind kind, const Dataset& train,
-                             const Dataset& valid, MetricKind metric,
-                             uint64_t seed);
+/// Inputs may contain NaN; both splits are imputed in place with the
+/// training means first, so callers that no longer need their splits
+/// should move them in. Returns the metric value
+/// (orientation per MetricHigherIsBetter).
+Result<double> TrainAndScore(Model* model, Dataset train, Dataset valid,
+                             MetricKind metric);
+
+/// TrainAndScore on a fresh MakeModel(kind, train.task, seed).
+Result<double> TrainAndScore(ModelKind kind, Dataset train, Dataset valid,
+                             MetricKind metric, uint64_t seed);
 
 /// Converts a metric value to a loss (lower is better) so optimizers can
 /// minimize uniformly: negates higher-is-better metrics.

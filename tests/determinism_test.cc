@@ -3,6 +3,8 @@
 /// seed; no global RNG". These tests pin that down: run twice with the same
 /// seed, demand bit-identical outcomes; run with a different seed, demand a
 /// different trajectory (to catch seeds that are silently ignored).
+/// The end-to-end FeatAug plan is also pinned to a recorded golden, so a
+/// run at any FEATLIB_NUM_THREADS must reproduce the serial search's plan.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 #include "core/generator.h"
 #include "data/multi_table_data.h"
 #include "data/synthetic.h"
+#include "golden_util.h"
 #include "hpo/hyperband.h"
 #include "hpo/tpe.h"
 
@@ -143,12 +146,24 @@ TEST(DeterminismTest, FeatAugPlanReproduces) {
     FeatAug feataug(bundle.ToProblem(), options);
     auto plan = feataug.Fit();
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-    return PlanKeys(plan.value());
+    return plan.ok() ? plan.value() : AugmentationPlan{};
   };
-  const auto first = fit(3);
-  const auto second = fit(3);
-  EXPECT_EQ(first, second);
-  ASSERT_FALSE(first.empty());
+  const AugmentationPlan first = fit(3);
+  const AugmentationPlan second = fit(3);
+  EXPECT_EQ(PlanKeys(first), PlanKeys(second));
+  ASSERT_FALSE(first.queries.empty());
+
+  // The plan recorded from the serial search: pooled scoring may train on
+  // any number of threads, but the chosen queries and their validation
+  // metrics must match it bit for bit.
+  ASSERT_EQ(first.valid_metrics.size(), first.queries.size());
+  golden::GoldenFile golden("feataug_plan.golden");
+  golden.Check("num_queries", std::to_string(first.queries.size()));
+  for (size_t i = 0; i < first.queries.size(); ++i) {
+    golden.Check(StrFormat("query%zu", i),
+                 first.queries[i].CacheKey() + " " +
+                     golden::HexDouble(first.valid_metrics[i]));
+  }
 }
 
 }  // namespace

@@ -7,10 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <mutex>
 #include <optional>
+#include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -329,6 +336,31 @@ TEST(ThreadPoolTest, HandlesEdgeSizesAndSerialPool) {
   }
   EXPECT_EQ(count.load(), 1u + 150u);
 }
+
+#if defined(__linux__)
+TEST(ThreadPoolTest, WorkersKeepTheCallersCpuMask) {
+  // Each worker is moved to its own CPU when it starts and then released:
+  // every thread that runs tasks may still run on every CPU the caller may.
+  cpu_set_t caller;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(caller), &caller), 0);
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::vector<cpu_set_t> masks;
+  ASSERT_TRUE(pool.ParallelFor(
+                      16,
+                      [&](size_t) {
+                        cpu_set_t mine;
+                        ASSERT_EQ(sched_getaffinity(0, sizeof(mine), &mine), 0);
+                        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                        std::lock_guard<std::mutex> lock(mu);
+                        masks.push_back(mine);
+                      },
+                      /*chunk=*/1)
+                  .ok());
+  ASSERT_EQ(masks.size(), 16u);
+  for (const cpu_set_t& mask : masks) EXPECT_TRUE(CPU_EQUAL(&mask, &caller));
+}
+#endif
 
 TEST(ThreadPoolTest, TaskFailureReturnsStatusAndSiblingsStillComplete) {
   ThreadPool pool(4);

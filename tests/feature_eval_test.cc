@@ -4,6 +4,8 @@
 
 #include "core/feature_eval.h"
 #include "data/synthetic.h"
+#include "ml/linear.h"
+#include "ml/metrics.h"
 
 namespace featlib {
 namespace {
@@ -70,13 +72,75 @@ TEST(FeatureEvalTest, LrProxyRuns) {
       evaluator.ProxyScore(bundle.golden_query, ProxyKind::kLogisticRegression);
   ASSERT_TRUE(score.ok());
   EXPECT_TRUE(std::isfinite(score.value()));
+
+  // The LR proxy is the 60-epoch mini model on base + candidate feature,
+  // not the full 200-epoch downstream model.
+  auto column = evaluator.Feature(bundle.golden_query);
+  ASSERT_TRUE(column.ok());
+  Dataset full = evaluator.base_dataset();
+  ASSERT_TRUE(full.AddFeature("q0", *column.value()).ok());
+  const Dataset train = full.GatherRows(evaluator.split().train);
+  const Dataset valid = full.GatherRows(evaluator.split().valid);
+  auto proxy_at = [&](int epochs) {
+    LinearModelOptions lr_options;
+    lr_options.epochs = epochs;
+    lr_options.seed = evaluator.options().model_seed;
+    LogisticRegressionModel model(bundle.task, lr_options);
+    Dataset imputed_train = train;
+    Dataset imputed_valid = valid;
+    ImputeNanInPlace(&imputed_valid, train);
+    ImputeNanInPlace(&imputed_train, train);
+    EXPECT_TRUE(model.Fit(imputed_train).ok());
+    return -evaluator.ScoreToLoss(
+        Auc(imputed_valid.y, model.PredictScore(imputed_valid)));
+  };
+  EXPECT_EQ(score.value(), proxy_at(60));
+  EXPECT_NE(score.value(), proxy_at(200));
+}
+
+TEST(FeatureEvalTest, ScoreEachMatchesSingleQueryCalls) {
+  DatasetBundle bundle = MakeTmall(SmallOptions());
+  FeatureEvaluator batched = MakeEvaluator(bundle);
+  AggQuery bad;
+  bad.agg = AggFunction::kAvg;
+  bad.agg_attr = "no_such_column";
+  bad.group_keys = {"user_id"};
+  AggQuery second = bundle.golden_query;
+  second.agg = AggFunction::kCount;
+  const std::vector<AggQuery> pool = {bundle.golden_query, bad, second};
+  using What = FeatureEvaluator::ScoreWhat;
+  for (const What& what :
+       {What::Metric(), What::Metric(0.5),
+        What::Proxy(ProxyKind::kMutualInformation),
+        What::Proxy(ProxyKind::kSpearman),
+        What::Proxy(ProxyKind::kLogisticRegression)}) {
+    const size_t model_before = batched.num_model_evals();
+    const size_t proxy_before = batched.num_proxy_evals();
+    auto scores = batched.ScoreEach(pool, what);
+    ASSERT_TRUE(scores.ok()) << scores.status().ToString();
+    ASSERT_EQ(scores.value().size(), pool.size());
+    EXPECT_FALSE(scores.value()[1].ok());  // only its own slot fails
+    // Two trainings ran (the failed member never reached one).
+    EXPECT_EQ(batched.num_model_evals() - model_before, what.proxy ? 0u : 2u);
+    EXPECT_EQ(batched.num_proxy_evals() - proxy_before, what.proxy ? 2u : 0u);
+    FeatureEvaluator single = MakeEvaluator(bundle);
+    for (size_t i : {size_t{0}, size_t{2}}) {
+      auto expected = what.proxy ? single.ProxyScore(pool[i], *what.proxy)
+                                 : single.ModelScoreAtFidelity({pool[i]},
+                                                               what.fidelity);
+      ASSERT_TRUE(expected.ok());
+      ASSERT_TRUE(scores.value()[i].ok());
+      EXPECT_EQ(scores.value()[i].value(), expected.value()) << "member " << i;
+    }
+  }
+  EXPECT_FALSE(batched.ScoreEach(pool, What::Metric(0.0)).ok());
 }
 
 TEST(FeatureEvalTest, GoldenFeatureImprovesModelScore) {
   DatasetBundle bundle = MakeTmall(SmallOptions());
   FeatureEvaluator evaluator = MakeEvaluator(bundle);
   auto baseline = evaluator.BaselineModelScore();
-  auto with_golden = evaluator.ModelScoreSingle(bundle.golden_query);
+  auto with_golden = evaluator.ModelScore({bundle.golden_query});
   ASSERT_TRUE(baseline.ok());
   ASSERT_TRUE(with_golden.ok());
   EXPECT_GT(with_golden.value(), baseline.value() + 0.03);
@@ -125,7 +189,7 @@ TEST(FeatureEvalTest, RegressionTaskEndToEnd) {
   DatasetBundle bundle = MakeMerchant(SmallOptions());
   FeatureEvaluator evaluator = MakeEvaluator(bundle);
   auto baseline = evaluator.BaselineModelScore();
-  auto with_golden = evaluator.ModelScoreSingle(bundle.golden_query);
+  auto with_golden = evaluator.ModelScore({bundle.golden_query});
   ASSERT_TRUE(baseline.ok());
   ASSERT_TRUE(with_golden.ok());
   // RMSE is lower with the golden feature.
@@ -196,7 +260,7 @@ TEST(FeatureEvalTest, InvalidQueryPropagatesError) {
   bad.agg_attr = "no_such_column";
   bad.group_keys = {"user_id"};
   EXPECT_FALSE(evaluator.Feature(bad).ok());
-  EXPECT_FALSE(evaluator.ModelScoreSingle(bad).ok());
+  EXPECT_FALSE(evaluator.ModelScore({bad}).ok());
 }
 
 TEST(FeatureEvalTest, CreateRejectsBadInputs) {

@@ -144,7 +144,7 @@ Result<std::vector<GeneratedQuery>> RunSequentialReference(
     if (it != evaluated.end()) {
       loss = it->second.loss;
     } else {
-      FEAT_ASSIGN_OR_RETURN(double metric, evaluator->ModelScoreSingle(q));
+      FEAT_ASSIGN_OR_RETURN(double metric, evaluator->ModelScore({q}));
       loss = evaluator->ScoreToLoss(metric);
       evaluated.emplace(key, GeneratedQuery{std::move(q), metric, loss});
     }
@@ -188,7 +188,7 @@ Result<std::vector<GeneratedQuery>> RunSequentialReference(
     if (it != evaluated.end()) {
       loss = it->second.loss;
     } else {
-      FEAT_ASSIGN_OR_RETURN(double metric, evaluator->ModelScoreSingle(q));
+      FEAT_ASSIGN_OR_RETURN(double metric, evaluator->ModelScore({q}));
       loss = evaluator->ScoreToLoss(metric);
       evaluated.emplace(key, GeneratedQuery{std::move(q), metric, loss});
     }

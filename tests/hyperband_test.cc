@@ -270,7 +270,7 @@ TEST(HyperbandGeneratorTest, FullFidelityEqualsModelScore) {
                                             bundle.base_features, bundle.relevant,
                                             bundle.task, eval_options);
   ASSERT_TRUE(evaluator.ok());
-  auto full = evaluator.value().ModelScoreSingle(bundle.golden_query);
+  auto full = evaluator.value().ModelScore({bundle.golden_query});
   auto at_one =
       evaluator.value().ModelScoreAtFidelity({bundle.golden_query}, 1.0);
   ASSERT_TRUE(full.ok() && at_one.ok());

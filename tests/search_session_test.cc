@@ -13,6 +13,7 @@
 
 #include "core/search_session.h"
 #include "data/synthetic.h"
+#include "golden_util.h"
 
 namespace featlib {
 namespace {
@@ -78,12 +79,66 @@ TEST(SearchSessionTest, PooledModelScoresMatchSingletonPath) {
   auto pooled = session.ModelScores(pool);
   ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
   for (size_t i = 0; i < pool.size(); ++i) {
-    auto single = singleton_eval.ModelScoreSingle(pool[i]);
+    auto single = singleton_eval.ModelScore({pool[i]});
     ASSERT_TRUE(single.ok());
     EXPECT_DOUBLE_EQ(pooled.value()[i].metric, single.value()) << "query " << i;
     EXPECT_DOUBLE_EQ(pooled.value()[i].loss,
                      singleton_eval.ScoreToLoss(single.value()));
   }
+}
+
+// One pool with an in-pool duplicate, an already-cached member and failing
+// members in the middle publishes exactly as a serial per-member loop does:
+// outcomes equal ModelScore({q}) bit for bit, failures are recorded in pool
+// order, and revision() advances once per new cache entry and new failure.
+TEST(SearchSessionTest, MixedPoolPublishesLikeASerialLoop) {
+  DatasetBundle bundle = MakeTmall(SmallOptions());
+  FeatureEvaluator pooled_eval = MakeEvaluator(bundle);
+  FeatureEvaluator singleton_eval = MakeEvaluator(bundle);
+  SearchSession session(&pooled_eval);
+  session.BeginStage(SearchStage::kGeneration);
+  const std::vector<AggQuery> members = MakePool(bundle, 4);
+  auto failing = [&](const char* column) {
+    AggQuery q = bundle.golden_query;
+    q.agg_attr = column;
+    return q;
+  };
+  const AggQuery bad_a = failing("no_such_column");
+  const AggQuery bad_b = failing("missing_too");
+
+  ASSERT_TRUE(session.ModelScores({members[1]}).ok());  // cached beforehand
+  const uint64_t revision_before = session.revision();
+  const size_t evals_before = pooled_eval.num_model_evals();
+  const std::vector<AggQuery> pool = {members[0], bad_b,      members[1],
+                                      members[0], members[2], bad_a,
+                                      members[3], bad_a};
+  auto pooled = session.ModelScores(pool);
+  ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+  ASSERT_EQ(pooled.value().size(), pool.size());
+
+  for (size_t i = 0; i < pool.size(); ++i) {
+    const SearchSession::ModelOutcome& got = pooled.value()[i];
+    auto single = singleton_eval.ModelScore({pool[i]});
+    if (!single.ok()) {
+      EXPECT_TRUE(std::isnan(got.metric)) << "member " << i;
+      EXPECT_TRUE(std::isinf(got.loss) && got.loss > 0.0) << "member " << i;
+      continue;
+    }
+    EXPECT_TRUE(golden::SameBits(got.metric, single.value())) << "member " << i;
+    EXPECT_TRUE(golden::SameBits(got.loss,
+                                 singleton_eval.ScoreToLoss(single.value())))
+        << "member " << i;
+  }
+  // Failures in first-failure pool order, each distinct key once.
+  ASSERT_EQ(session.failed_candidates().size(), 2u);
+  EXPECT_EQ(session.failed_candidates()[0].key, bad_b.CacheKey());
+  EXPECT_EQ(session.failed_candidates()[1].key, bad_a.CacheKey());
+  // Three new cache entries (members 0, 2, 3) and two new failures.
+  EXPECT_EQ(session.revision(), revision_before + 5);
+  // The in-pool duplicate trains once and counts as a cache hit, like the
+  // pre-cached member.
+  EXPECT_EQ(pooled_eval.num_model_evals(), evals_before + 3);
+  EXPECT_EQ(session.stage(SearchStage::kGeneration).model_cache_hits, 2u);
 }
 
 TEST(SearchSessionTest, ScoreCachesAbsorbRepeatProposals) {
