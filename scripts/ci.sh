@@ -168,6 +168,19 @@ FEATLIB_FAULT_SWEEP_SEEDS="${FEATLIB_FAULT_SWEEP_SEEDS:-16}" \
 FEATLIB_FAULT_PROB="${FEATLIB_FAULT_PROB:-0.08}" \
   "$ROOT/build/fault_sweep_test"
 
+# ---- CSV mutation sweep: single-pass reader vs the two-pass oracle ----------
+# (csv_test's CsvMutationSweep inserts, deletes and replaces bytes drawn from
+# the CSV-significant alphabet in a small corpus; every mutated input must
+# read byte-identically to tests/csv_oracle.h — same Table or same Status —
+# and never crash. Seeds rotate with the date like the fault sweep's; the
+# ASan/UBSan build below reruns the same seed, guarding the reader's
+# string_views into its buffer.)
+CSV_FUZZ_SEED="${FEATLIB_CSV_FUZZ_SEED:-$(( $(date +%s) / 86400 ))}"
+CSV_FUZZ_ITERS="${FEATLIB_CSV_FUZZ_ITERS:-50000}"
+echo "ci.sh: csv mutation sweep seed $CSV_FUZZ_SEED ($CSV_FUZZ_ITERS inputs)"
+FEATLIB_CSV_FUZZ_SEED="$CSV_FUZZ_SEED" FEATLIB_CSV_FUZZ_ITERS="$CSV_FUZZ_ITERS" \
+  "$ROOT/build/csv_test" --gtest_filter='CsvMutationSweep.*'
+
 # ---- Kill-resume sweep: durable fit crash-safety invariant ------------------
 # (checkpoint_sweep_test kills a checkpointed fit at injected crash points
 # (checkpoint round boundaries), resumes from whatever the dying run left on
@@ -200,6 +213,8 @@ for backend in scalar simd; do
   FEATLIB_KERNEL_BACKEND="$backend" "$ROOT/build-asan/kernel_dispatch_test"
   FEATLIB_KERNEL_BACKEND="$backend" "$ROOT/build-asan/executor_golden_test"
 done
+FEATLIB_CSV_FUZZ_SEED="$CSV_FUZZ_SEED" FEATLIB_CSV_FUZZ_ITERS="$CSV_FUZZ_ITERS" \
+  "$ROOT/build-asan/csv_test" --gtest_filter='CsvMutationSweep.*'
 
 # ---- TSan: planner / store / executor / serving concurrency tests ----------
 # (Benches/examples are skipped: TSan only needs the threaded paths, and the

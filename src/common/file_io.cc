@@ -1,14 +1,13 @@
 #include "common/file_io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
-#include <system_error>
 
 #include "common/fault_injection.h"
 #include "common/str_util.h"
@@ -112,20 +111,36 @@ Status CheckCrcFooter(const std::string& text) {
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {
-  // ifstream happily "opens" a directory on Linux and then reads as if the
-  // file were empty — catch it before that turns into silently-empty data.
-  std::error_code ec;
-  if (std::filesystem::is_directory(path, ec)) {
-    return Status::IOError("path is a directory: " + path);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::NotFound("cannot open: " + path);
+  struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+  // A directory opens fine and would read as empty; a pipe or device has no
+  // size to read up to. Either way its bytes are not the file's contents.
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    return Status::IOError("cannot stat " + path + ": " + std::strerror(errno));
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open: " + path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  // rdbuf() swallows stream errors; bad() distinguishes "short file" from
-  // "the read itself failed" (I/O error, device trouble, ...).
-  if (in.bad() || buf.bad()) return Status::IOError("read failed: " + path);
-  return buf.str();
+  if (!S_ISREG(st.st_mode)) return Status::IOError("not a regular file: " + path);
+  // One buffer of the file's size, filled in place; a read error or an early
+  // end is reported, never returned as a shorter file.
+  std::string contents(static_cast<size_t>(st.st_size), '\0');
+  size_t done = 0;
+  while (done < contents.size()) {
+    const ssize_t n = ::read(fd, contents.data() + done, contents.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      return Status::IOError("read failed: " + path + ": " + std::strerror(errno));
+    }
+    if (n == 0) {
+      return Status::IOError(StrFormat("short read: %s: %zu of %zu bytes",
+                                       path.c_str(), done, contents.size()));
+    }
+    done += static_cast<size_t>(n);
+  }
+  return contents;
 }
 
 Status AtomicWriteFile(const std::string& path, const std::string& contents) {

@@ -28,8 +28,10 @@ uint32_t Crc32(const std::string& data);
 /// Incremental form: feed `crc` = 0 for the first chunk, then chain.
 uint32_t Crc32Update(uint32_t crc, const char* data, size_t len);
 
-/// Reads an entire file into a string. Returns kNotFound when the file does
-/// not exist, kIOError for directories and read failures.
+/// Reads an entire file into a string with one buffer sized from fstat.
+/// Returns kNotFound when the file cannot be opened, kIOError when the path
+/// is not a regular file (a directory, pipe or device) and on a failed or
+/// short read.
 Result<std::string> ReadFileToString(const std::string& path);
 
 /// Atomically replaces `path` with `contents` via temp file + fsync +

@@ -161,14 +161,18 @@ Column::Dictionary* Column::MutableDictionary() {
 }
 
 int32_t Column::GetOrAddCode(const std::string& s) {
+  return GetOrAddCode(std::string_view(s));
+}
+
+int32_t Column::GetOrAddCode(std::string_view s) {
   if (dict_ != nullptr) {
     auto it = dict_->index.find(s);
     if (it != dict_->index.end()) return it->second;
   }
   Dictionary* dict = MutableDictionary();
   const int32_t code = static_cast<int32_t>(dict->values.size());
-  dict->values.push_back(s);
-  dict->index.emplace(s, code);
+  dict->values.emplace_back(s);
+  dict->index.emplace(dict->values.back(), code);
   return code;
 }
 

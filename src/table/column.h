@@ -4,8 +4,10 @@
 /// \brief Nullable, typed columnar storage with dictionary-encoded strings.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -80,6 +82,9 @@ class Column {
   }
   /// Returns the code for `s`, inserting it if absent.
   int32_t GetOrAddCode(const std::string& s);
+  /// Same, looked up without building a std::string (the CSV reader's
+  /// fields are views into its input buffer); copies `s` only on insert.
+  int32_t GetOrAddCode(std::string_view s);
   /// Returns the code for `s`, or -1 if `s` is not in the dictionary.
   int32_t FindCode(const std::string& s) const;
   /// True when this column shares its dictionary storage with `other`
@@ -125,8 +130,15 @@ class Column {
   /// Dictionary storage shared across columns (values + reverse index move
   /// together; they are always mutated as a pair).
   struct Dictionary {
+    /// Transparent hash: lets `index` be probed with a string_view.
+    struct Hash {
+      using is_transparent = void;
+      size_t operator()(std::string_view s) const {
+        return std::hash<std::string_view>{}(s);
+      }
+    };
     std::vector<std::string> values;
-    std::unordered_map<std::string, int32_t> index;
+    std::unordered_map<std::string, int32_t, Hash, std::equal_to<>> index;
   };
 
   bool IsIntBacked() const {

@@ -6,6 +6,8 @@
 /// load/evict/transform churn (a scripts/ci.sh TSan target).
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <memory>
 #include <string>
@@ -150,6 +152,29 @@ TEST(PlanRegistryTest, FailedLoadIsNotSticky) {
   ASSERT_TRUE(WriteAugmentationPlan(serve_test::MakePlan(), "relevant",
                                     relevant, dir + "/late.sql")
                   .ok());
+  auto retried = registry.Acquire("late");
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_TRUE(registry.IsResident("late"));
+}
+
+TEST(PlanRegistryTest, UnreadableRelevantTableIsIOErrorAndRetried) {
+  const std::string dir = MakeTempDir("feataug_reg_");
+  const Table relevant = WritePlanPair(dir, "real");
+  const std::string relevant_path = dir + "/late.relevant.csv";
+  ASSERT_EQ(::mkdir(relevant_path.c_str(), 0700), 0);
+
+  PlanRegistry registry;
+  ASSERT_TRUE(registry.AddPlan("late", dir + "/real.sql", relevant_path).ok());
+  // A directory where the relevant table should be is an IO failure, not
+  // an empty table, and it is not sticky.
+  auto failed = registry.Acquire("late");
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kIOError)
+      << failed.status().ToString();
+  EXPECT_FALSE(registry.IsResident("late"));
+
+  ASSERT_EQ(::rmdir(relevant_path.c_str()), 0);
+  ASSERT_TRUE(WriteCsv(relevant, relevant_path).ok());
   auto retried = registry.Acquire("late");
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
   EXPECT_TRUE(registry.IsResident("late"));

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <string_view>
 
 #include "table/table.h"
 
@@ -109,6 +111,40 @@ TEST(ColumnTest, TakeSharesDictionaryCopyOnWrite) {
   // And mutating the original never leaks into the (now detached) copy.
   col.AppendString("yy");
   EXPECT_EQ(taken.FindCode("yy"), -1);
+}
+
+TEST(ColumnTest, StringViewGetOrAddCodeIsCopyOnWrite) {
+  Column col(DataType::kString);
+  col.AppendString("a");
+  col.AppendString("b");
+  Column taken = col.Take({1u, 0u});
+  ASSERT_TRUE(taken.SharesDictionaryWith(col));
+
+  // A known value through the view overload: same code, nothing cloned.
+  const std::string buffer = "a,b,new";
+  EXPECT_EQ(taken.GetOrAddCode(std::string_view(buffer).substr(2, 1)),
+            col.GetOrAddCode(std::string("b")));
+  EXPECT_TRUE(taken.SharesDictionaryWith(col));
+
+  // A new value clones the shared dictionary before inserting: the sibling
+  // never sees it, and the view overload hands out the code the std::string
+  // overload then finds.
+  const int32_t code = taken.GetOrAddCode(std::string_view(buffer).substr(4));
+  EXPECT_FALSE(taken.SharesDictionaryWith(col));
+  EXPECT_EQ(code, 2);
+  EXPECT_EQ(taken.GetOrAddCode(std::string("new")), code);
+  EXPECT_EQ(taken.dictionary().back(), "new");
+  EXPECT_EQ(col.FindCode("new"), -1);
+  EXPECT_EQ(col.dictionary().size(), 2u);
+
+  // In an unshared column both overloads assign the same codes in order.
+  Column by_view(DataType::kString);
+  Column by_string(DataType::kString);
+  for (const char* s : {"x", "y", "x", "z", "y"}) {
+    EXPECT_EQ(by_view.GetOrAddCode(std::string_view(s)),
+              by_string.GetOrAddCode(std::string(s)));
+  }
+  EXPECT_EQ(by_view.dictionary(), by_string.dictionary());
 }
 
 TEST(ColumnTest, ValueAtRoundTrip) {
