@@ -5,7 +5,7 @@
 /// against direct TransformMany on the same fitted plan.
 ///
 ///   bench_serve [--clients=4] [--requests=50] [--rows=400] [--batch-rows=30]
-///               [--max-delay-us=500] [--out=BENCH_executor.json]
+///               [--out=BENCH_executor.json]
 ///
 /// Appends/replaces the serve_* fields of the flat one-line JSON record at
 /// --out (default: BENCH_executor.json in the cwd — scripts/ci.sh points it
@@ -48,7 +48,6 @@ struct ServeBenchConfig {
   int requests_per_client = 50;
   size_t relevant_rows = 400;
   size_t batch_rows = 30;
-  long long max_delay_us = 500;
   std::string out_path = "BENCH_executor.json";
 };
 
@@ -63,7 +62,6 @@ bool Parse(int argc, char** argv, ServeBenchConfig* config) {
     else if (const char* v = value_of("--requests=")) config->requests_per_client = std::atoi(v);
     else if (const char* v = value_of("--rows=")) config->relevant_rows = std::atoll(v);
     else if (const char* v = value_of("--batch-rows=")) config->batch_rows = std::atoll(v);
-    else if (const char* v = value_of("--max-delay-us=")) config->max_delay_us = std::atoll(v);
     else if (const char* v = value_of("--out=")) config->out_path = v;
     else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
@@ -229,7 +227,6 @@ int Run(const ServeBenchConfig& config) {
 
   serve::ServerOptions options;
   options.unix_socket_path = dir + "/daemon.sock";
-  options.batcher.max_delay_us = config.max_delay_us;
   serve::Server server(&registry, options);
   st = server.Start();
   if (!st.ok()) {

@@ -504,13 +504,13 @@ int RunTransform(const TransformArgs& args) {
   }
 
   // Stream the batches through the serving batcher on the one warm handle
-  // — the same admission path the daemon uses: submissions coalesce into
-  // TransformManyIsolated fan-outs with per-batch failure isolation. The
+  // — the same admission path the daemon uses: submissions that queue
+  // while the workers are busy coalesce into TransformManyIsolated
+  // fan-outs with per-batch failure isolation. The
   // deadline rides on each request; the memory budget applies per fan-out.
   std::shared_ptr<const FittedAugmenter> handle(std::move(fitted).ValueOrDie());
   serve::BatcherOptions batcher_options;
   batcher_options.max_batch_size = 16;
-  batcher_options.max_delay_us = 200;
   if (args.memory_budget_mb > 0) {
     batcher_options.memory_budget_bytes =
         static_cast<size_t>(args.memory_budget_mb) << 20;

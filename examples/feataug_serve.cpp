@@ -4,13 +4,14 @@
 /// online half of "fit offline, ship the SQL artifact, serve online".
 ///
 ///   feataug_serve --plan-dir=DIR [--socket=/path/daemon.sock] [--tcp-port=N]
-///                 [--warm-cap-mb=512] [--max-batch=16] [--max-delay-us=500]
+///                 [--warm-cap-mb=512] [--max-batch=16]
 ///                 [--workers=2] [--preload]
 ///
 /// DIR holds one `<name>.sql` + `<name>.relevant.csv` pair per plan (the
 /// artifacts `feataug_cli fit --plan-out` ships). Plans compile lazily on
-/// first request and stay warm under an LRU byte cap; concurrent small
-/// requests for the same plan coalesce into one fan-out (see
+/// first request and stay warm under an LRU byte cap; small requests for
+/// the same plan that queue while the workers are busy coalesce into one
+/// fan-out (see
 /// docs/ARCHITECTURE.md, "Serving daemon"). SIGTERM/SIGINT drain
 /// gracefully: new connections are refused, every in-flight request's
 /// response is delivered, then the process exits.
@@ -36,7 +37,6 @@ struct ServeArgs {
   int tcp_port = -1;
   long long warm_cap_mb = 512;
   long long max_batch = 16;
-  long long max_delay_us = 500;
   long long workers = 2;
   bool preload = false;
 };
@@ -53,7 +53,6 @@ bool Parse(int argc, char** argv, ServeArgs* args) {
     else if (const char* v = value_of("--tcp-port=")) args->tcp_port = std::atoi(v);
     else if (const char* v = value_of("--warm-cap-mb=")) args->warm_cap_mb = std::atoll(v);
     else if (const char* v = value_of("--max-batch=")) args->max_batch = std::atoll(v);
-    else if (const char* v = value_of("--max-delay-us=")) args->max_delay_us = std::atoll(v);
     else if (const char* v = value_of("--workers=")) args->workers = std::atoll(v);
     else if (arg == "--preload") args->preload = true;
     else {
@@ -110,7 +109,6 @@ int main(int argc, char** argv) {
   options.tcp_port = args.tcp_port;
   options.batcher.max_batch_size =
       args.max_batch < 1 ? 1 : static_cast<size_t>(args.max_batch);
-  options.batcher.max_delay_us = args.max_delay_us;
   options.batcher.num_workers = args.workers < 1 ? 1 : static_cast<int>(args.workers);
 
   serve::Server server(&registry, options);

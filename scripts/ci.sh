@@ -228,7 +228,9 @@ FEATLIB_CSV_FUZZ_SEED="$CSV_FUZZ_SEED" FEATLIB_CSV_FUZZ_ITERS="$CSV_FUZZ_ITERS" 
 # exercises the async CheckpointWriter: fit-thread enqueue vs background
 # writer vs destructor drain. The serve_* tests cover the daemon stack:
 # registry load/evict/pin races, batcher coalescing + drain, and the full
-# socket path with 8 concurrent connections and a SIGTERM drain.
+# socket path with 8 concurrent connections and a SIGTERM drain. The
+# batcher and daemon tests hold a worker instead of sleeping, so they run
+# 20 times each to shake the submit -> worker queue hand-off.
 # morsel_test pins the out-of-core pipeline: the pool's per-candidate
 # combine fan-out reading one morsel's shared artifacts while each task
 # writes only its own accumulator.
@@ -259,7 +261,11 @@ cmake -B "$ROOT/build-tsan" -S "$ROOT" \
   -DFEATLIB_BUILD_EXAMPLES=OFF
 cmake --build "$ROOT/build-tsan" -j "$JOBS" --target "${TSAN_TESTS[@]}"
 for test in "${TSAN_TESTS[@]}"; do
-  "$ROOT/build-tsan/$test"
+  case "$test" in
+    serve_batcher_test|serve_daemon_test)
+      "$ROOT/build-tsan/$test" --gtest_repeat=20 ;;
+    *) "$ROOT/build-tsan/$test" ;;
+  esac
 done
 
 echo "ci.sh: all green"

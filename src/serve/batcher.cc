@@ -21,104 +21,53 @@ Status Batcher::Submit(const std::string& plan_name, Request request) {
     return Status::Cancelled("batcher is draining; request refused");
   }
   ++num_requests_;
-  auto it = pending_.find(plan_name);
-  if (it == pending_.end()) {
-    auto group = std::make_shared<Group>();
-    group->plan = plan_name;
-    group->flush_at =
-        Clock::now() + std::chrono::microseconds(options_.max_delay_us);
-    group->requests.push_back(std::move(request));
-    if (group->requests.size() >= options_.max_batch_size ||
-        options_.max_delay_us <= 0) {
-      ready_.push_back(std::move(group));
-    } else {
-      pending_.emplace(plan_name, std::move(group));
-    }
-  } else {
-    it->second->requests.push_back(std::move(request));
-    if (it->second->requests.size() >= options_.max_batch_size) {
-      ready_.push_back(std::move(it->second));
-      pending_.erase(it);
-    }
+  // The plan's open group is its newest queued group. A full group, or one
+  // pinned to another handle (the registry reloaded the plan), takes no
+  // more requests.
+  auto open = std::find_if(queue_.rbegin(), queue_.rend(),
+                           [&](const Group& g) { return g.plan == plan_name; });
+  if (open == queue_.rend() ||
+      open->requests.size() >= options_.max_batch_size ||
+      open->requests.front().handle != request.handle) {
+    queue_.push_back(Group{plan_name, {}});
+    open = queue_.rbegin();
+    work_cv_.notify_one();
   }
-  // Wake a worker either way: one must (re)compute the nearest flush_at.
-  work_cv_.notify_one();
+  open->requests.push_back(std::move(request));
   return Status::OK();
-}
-
-std::shared_ptr<Batcher::Group> Batcher::NextReadyGroupLocked(
-    std::unique_lock<std::mutex>& lock) {
-  for (;;) {
-    if (!ready_.empty()) {
-      auto group = std::move(ready_.front());
-      ready_.pop_front();
-      return group;
-    }
-    if (draining_) {
-      // Drain: every pending group flushes now, regardless of its window.
-      if (!pending_.empty()) {
-        auto it = pending_.begin();
-        auto group = std::move(it->second);
-        pending_.erase(it);
-        return group;
-      }
-      return nullptr;  // fully drained; worker exits
-    }
-    if (pending_.empty()) {
-      work_cv_.wait(lock);
-      continue;
-    }
-    // This worker doubles as the timer for the nearest window.
-    Clock::time_point nearest = Clock::time_point::max();
-    for (const auto& [name, group] : pending_) {
-      nearest = std::min(nearest, group->flush_at);
-    }
-    if (Clock::now() >= nearest) {
-      for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-        if (it->second->flush_at == nearest) {
-          auto group = std::move(it->second);
-          pending_.erase(it);
-          return group;
-        }
-      }
-      continue;  // raced with another worker; re-evaluate
-    }
-    work_cv_.wait_until(lock, nearest);
-  }
 }
 
 void Batcher::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::shared_ptr<Group> group = NextReadyGroupLocked(lock);
-    if (group == nullptr) return;
-    ++in_flight_groups_;
+    work_cv_.wait(lock, [this] { return draining_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // draining and fully drained
+    Group group = std::move(queue_.front());
+    queue_.pop_front();
     ++num_flushes_;
-    if (group->requests.size() >= 2) ++num_coalesced_flushes_;
-    max_flush_size_ = std::max(max_flush_size_, group->requests.size());
+    if (group.requests.size() >= 2) ++num_coalesced_flushes_;
+    max_flush_size_ = std::max(max_flush_size_, group.requests.size());
     lock.unlock();
-    ExecuteGroup(group.get());
+    ExecuteGroup(std::move(group));
     lock.lock();
-    --in_flight_groups_;
-    drain_cv_.notify_all();
   }
 }
 
-void Batcher::ExecuteGroup(Group* group) {
+void Batcher::ExecuteGroup(Group group) {
   const Clock::time_point now = Clock::now();
-  // Slot requests that expired while coalescing fail up front and are
+  // Slot requests that expired while queued fail up front and are
   // excluded from the fan-out; live slots map to positions in `batches`.
   std::vector<size_t> live;
   std::vector<Table> batches;
   Clock::time_point latest_deadline = Clock::time_point::min();
   bool all_have_deadlines = true;
-  for (size_t i = 0; i < group->requests.size(); ++i) {
-    Request& req = group->requests[i];
+  for (size_t i = 0; i < group.requests.size(); ++i) {
+    Request& req = group.requests[i];
     if (req.deadline != Clock::time_point::max()) {
       latest_deadline = std::max(latest_deadline, req.deadline);
       if (req.deadline <= now) {
         req.done(Status::DeadlineExceeded(
-                     "request deadline expired while coalescing"),
+                     "request deadline expired while queued"),
                  Table());
         continue;
       }
@@ -134,7 +83,7 @@ void Batcher::ExecuteGroup(Group* group) {
   // wide ExecContext trip fails every slot, so the tightest request must
   // not be the one to pull the trigger — it is late-checked below instead.
   ExecContext ctx;
-  const FittedAugmenter& handle = *group->requests[live.front()].handle;
+  const FittedAugmenter& handle = *group.requests.front().handle;
   if (all_have_deadlines) ctx.set_deadline(latest_deadline);
   if (options_.memory_budget_bytes > 0) {
     ctx.set_memory_budget_bytes(options_.memory_budget_bytes);
@@ -146,7 +95,7 @@ void Batcher::ExecuteGroup(Group* group) {
     // Batch-wide failure (tripped group context): every live slot reports
     // it, with per-request deadline attribution where that is the cause.
     for (size_t i : live) {
-      Request& req = group->requests[i];
+      Request& req = group.requests[i];
       if (req.deadline <= done_at) {
         req.done(Status::DeadlineExceeded("request deadline exceeded"),
                  Table());
@@ -160,7 +109,7 @@ void Batcher::ExecuteGroup(Group* group) {
   FEAT_CHECK(slots.size() == live.size(),
              "TransformManyIsolated returned wrong slot count");
   for (size_t s = 0; s < live.size(); ++s) {
-    Request& req = group->requests[live[s]];
+    Request& req = group.requests[live[s]];
     if (req.deadline <= done_at) {
       req.done(
           Status::DeadlineExceeded("request deadline exceeded during fan-out"),

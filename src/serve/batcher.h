@@ -1,20 +1,24 @@
 #pragma once
 
 /// \file batcher.h
-/// \brief Admission/batching policy: coalesces small concurrent Transform
-/// requests for the same plan into one TransformManyIsolated fan-out.
+/// \brief Admission/batching policy: coalesces small Transform requests for
+/// the same plan that queue up while the workers are busy into one
+/// TransformManyIsolated fan-out.
 ///
-/// Serving traffic arrives as many small independent batches; executing
-/// each as its own TransformMany call pays the per-call fan-out and train-
-/// map binding once per request. The batcher holds the first request of a
-/// plan for at most `max_delay_us`, merging every request for that plan
-/// that arrives in the window (up to `max_batch_size`), and executes the
-/// group as a single TransformManyIsolated call — one fan-out over the
-/// pool, per-slot failure isolation mapping each slot's Status back to its
-/// own request.
+/// Serving traffic arrives as many small independent batches. The batcher
+/// keeps one FIFO of per-plan groups. Submit appends a request to its
+/// plan's open group (the plan's newest queued group), or opens a new
+/// group when there is none, the open one holds `max_batch_size` requests,
+/// or the open one is pinned to a different handle (the registry reloaded
+/// the plan). A free worker pops the oldest group at once and executes it
+/// as a single TransformManyIsolated call: one fan-out over the pool, with
+/// per-slot failure isolation mapping each slot's Status back to its own
+/// request. There is no timer: a lone request on an idle worker runs
+/// immediately, and requests coalesce exactly when they arrive while every
+/// worker is busy.
 ///
 /// **Deadlines.** Each request may carry its own deadline. It is honored at
-/// three points: a request whose deadline passed while coalescing is failed
+/// three points: a request whose deadline passed while queued is failed
 /// with kDeadlineExceeded before any work starts (it never poisons its
 /// group); the group's ExecContext deadline is the *latest* finite request
 /// deadline (so the tightest request cannot kill its siblings' work — a
@@ -30,16 +34,14 @@
 /// call Submit (they run on the worker that would execute it).
 ///
 /// Shutdown() stops admission (Submit then fails kCancelled("draining")),
-/// flushes every pending group, and joins the workers — every request
+/// executes every queued group, and joins the workers — every request
 /// admitted before Shutdown gets its callback before Shutdown returns,
 /// which is exactly the drain step of the server's SIGTERM handling.
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -53,12 +55,9 @@ namespace featlib {
 namespace serve {
 
 struct BatcherOptions {
-  /// Groups flush as soon as they reach this many requests.
+  /// A queued group takes at most this many requests; the next request
+  /// for its plan opens a new group.
   size_t max_batch_size = 16;
-  /// A group with fewer requests flushes this long after its first request
-  /// arrived. 0 = flush immediately (coalescing only merges requests that
-  /// were already queued while a worker was busy).
-  int64_t max_delay_us = 500;
   /// Worker threads executing flushed groups. Distinct plans execute
   /// concurrently up to this limit; one plan's group is one fan-out.
   int num_workers = 2;
@@ -91,12 +90,12 @@ class Batcher {
   Batcher(const Batcher&) = delete;
   Batcher& operator=(const Batcher&) = delete;
 
-  /// Enqueues a request for `plan_name`. Requests sharing a plan name (and
-  /// therefore a handle) coalesce. Fails immediately — without invoking
+  /// Enqueues a request for `plan_name`. Queued requests sharing a plan
+  /// name and a handle coalesce. Fails immediately — without invoking
   /// the callback — when the batcher is draining.
   Status Submit(const std::string& plan_name, Request request);
 
-  /// Stops admission, flushes all pending groups, waits for every
+  /// Stops admission, executes every queued group, waits for every
   /// in-flight callback, joins the workers. Idempotent.
   void Shutdown();
 
@@ -110,30 +109,22 @@ class Batcher {
   /// @}
 
  private:
-  /// A pending group: requests for one plan awaiting flush.
+  /// Queued requests for one plan, all pinned to the same handle.
   struct Group {
     std::string plan;
     std::vector<Request> requests;
-    Clock::time_point flush_at;  // first-request arrival + max_delay
   };
 
   void WorkerLoop();
-  /// Waits for due/full groups and hands them to workers (runs inline in
-  /// the workers: the earliest-deadline waiter doubles as the timer).
-  std::shared_ptr<Group> NextReadyGroupLocked(std::unique_lock<std::mutex>& lock);
-  void ExecuteGroup(Group* group);
+  void ExecuteGroup(Group group);
 
   const BatcherOptions options_;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
-  std::condition_variable drain_cv_;
-  /// Plan name -> pending group (insertion-ordered flush among equally due
-  /// groups via the deque of ready groups).
-  std::map<std::string, std::shared_ptr<Group>> pending_;
-  std::deque<std::shared_ptr<Group>> ready_;
+  /// Oldest group first; a plan's open group is its newest entry.
+  std::deque<Group> queue_;
   bool draining_ = false;
-  size_t in_flight_groups_ = 0;
 
   size_t num_requests_ = 0;
   size_t num_flushes_ = 0;

@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -147,10 +148,12 @@ DecodeOutcome TryDecodeFrame(const std::string& buf, size_t offset,
 
 namespace {
 
+/// Writes all `len` bytes to a socket. MSG_NOSIGNAL turns a write to a
+/// peer that has hung up into EPIPE instead of a process-killing SIGPIPE.
 Status WriteAll(int fd, const char* data, size_t len) {
   size_t written = 0;
   while (written < len) {
-    const ssize_t n = ::write(fd, data + written, len - written);
+    const ssize_t n = ::send(fd, data + written, len - written, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::IOError("socket write failed: " +

@@ -92,10 +92,11 @@ enum class DecodeOutcome {
 DecodeOutcome TryDecodeFrame(const std::string& buf, size_t offset,
                              Frame* out, size_t* consumed, Status* error);
 
-/// Blocking fd variants used by the server's reader threads and the client.
-/// ReadFrame returns kIOError("connection closed") on clean EOF at a frame
-/// boundary, kDataLoss/kInvalidArgument on a corrupt envelope, and retries
-/// EINTR internally.
+/// Blocking socket variants used by the server's reader threads and the
+/// client. WriteFrame returns kIOError when the peer has hung up (never
+/// SIGPIPE). ReadFrame returns kIOError("connection closed") on clean EOF at
+/// a frame boundary, kDataLoss/kInvalidArgument on a corrupt envelope, and
+/// retries EINTR internally.
 Status WriteFrame(int fd, MessageType type, const std::string& payload);
 Result<Frame> ReadFrame(int fd);
 /// @}
@@ -116,7 +117,7 @@ struct TransformRequest {
   std::string plan;
   /// Relative deadline in microseconds from server receipt; 0 = none. The
   /// server arms an ExecContext deadline and also refuses to start work on
-  /// a request that already expired while coalescing.
+  /// a request that already expired while queued.
   uint64_t deadline_us = 0;
   Table batch;
 };

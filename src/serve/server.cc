@@ -67,6 +67,12 @@ Server::Server(PlanRegistry* registry, ServerOptions options)
 Server::~Server() {
   Shutdown();
   if (signal_thread_.joinable()) signal_thread_.join();
+  if (signal_pipe_[0] >= 0) {
+    int mine = signal_pipe_[1];
+    g_signal_wake_fd.compare_exchange_strong(mine, -1);
+    ::close(signal_pipe_[0]);
+    ::close(signal_pipe_[1]);
+  }
 }
 
 Status Server::Start() {
@@ -271,14 +277,12 @@ Status Server::EnableSignalDrain() {
   if (!started_.load(std::memory_order_acquire)) {
     return Status::InvalidArgument("EnableSignalDrain before Start");
   }
-  // The watcher owns its own pipe: the handler writes one byte, the
+  // The watcher owns this server's pipe: the handler writes one byte, the
   // watcher blocks on read and runs the drain on its own (non-signal)
-  // thread, where locks are safe.
-  static int signal_pipe[2] = {-1, -1};
-  if (signal_pipe[0] < 0 && ::pipe(signal_pipe) != 0) {
-    return ErrnoStatus("pipe(signal)");
-  }
-  g_signal_wake_fd.store(signal_pipe[1], std::memory_order_relaxed);
+  // thread, where locks are safe. A pipe per server keeps a byte meant for
+  // one server's watcher from shutting down the next server.
+  if (::pipe(signal_pipe_) != 0) return ErrnoStatus("pipe(signal)");
+  g_signal_wake_fd.store(signal_pipe_[1], std::memory_order_relaxed);
   struct sigaction sa;
   std::memset(&sa, 0, sizeof(sa));
   sa.sa_handler = DrainSignalHandler;
@@ -290,7 +294,7 @@ Status Server::EnableSignalDrain() {
   }
   signal_thread_ = std::thread([this] {
     char byte;
-    while (::read(signal_pipe[0], &byte, 1) < 0 && errno == EINTR) {
+    while (::read(signal_pipe_[0], &byte, 1) < 0 && errno == EINTR) {
     }
     Shutdown();
   });
@@ -326,7 +330,7 @@ void Server::Shutdown() {
     tcp_fd_ = -1;
   }
 
-  // 2. Drain: flush every pending group and deliver every admitted
+  // 2. Drain: execute every queued group and deliver every admitted
   // response. Readers are still alive, so responses still have their
   // connections; requests arriving during the drain are refused by the
   // batcher with kCancelled and answered immediately.
@@ -356,7 +360,10 @@ void Server::Shutdown() {
   }
   // Wake a signal watcher that never saw its signal so ~Server can join it
   // (the watcher's own Shutdown call is an idempotent no-op by then).
-  DrainSignalHandler(0);
+  if (signal_pipe_[1] >= 0) {
+    const char byte = 1;
+    [[maybe_unused]] ssize_t n = ::write(signal_pipe_[1], &byte, 1);
+  }
 }
 
 void Server::Wait() {

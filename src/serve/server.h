@@ -142,6 +142,9 @@ class Server {
   /// Self-pipe waking the accept poll on shutdown.
   int wake_pipe_[2] = {-1, -1};
 
+  /// EnableSignalDrain's pipe: the signal handler (or Shutdown) writes,
+  /// the watcher thread reads.
+  int signal_pipe_[2] = {-1, -1};
   std::thread accept_thread_;
   std::thread signal_thread_;
 

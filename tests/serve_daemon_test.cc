@@ -1,19 +1,30 @@
 /// \file serve_daemon_test.cc
 /// \brief End-to-end daemon contract: >= 8 concurrent client connections
 /// receive responses byte-identical to direct in-process TransformMany on
-/// the same fitted plan, concurrent requests coalesce (>= 2 merged into
-/// one fan-out), deadlines travel with requests, TCP works, and SIGTERM
-/// drains gracefully — every in-flight response delivered, new
-/// connections refused. Runs under TSan in scripts/ci.sh.
+/// the same fitted plan, requests that queue behind a busy worker coalesce
+/// (>= 2 merged into one fan-out), deadlines travel with requests, TCP
+/// works, a client that hangs up before its reply leaves the daemon
+/// serving, and SIGTERM drains gracefully — every in-flight response
+/// delivered, new connections refused. Runs under TSan in scripts/ci.sh.
+///
+/// No test sleeps: where requests must be in flight, TrainMapHold blocks
+/// the daemon's one batcher worker inside its fan-out until released.
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <csignal>
+#include <cstring>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "core/plan_io.h"
 #include "serve/client.h"
 #include "serve/plan_registry.h"
@@ -72,63 +83,14 @@ DaemonFixture StartDaemon(const std::string& prefix, ServerOptions options) {
   return f;
 }
 
-TEST(ServeDaemonTest, EightConcurrentConnectionsAreByteIdenticalAndCoalesce) {
-  ServerOptions options;
-  // A generous window so concurrent requests reliably land in one group.
-  options.batcher.max_delay_us = 20 * 1000;
-  DaemonFixture f = StartDaemon("feataug_daemon_", std::move(options));
-  const std::string socket = f.dir + "/daemon.sock";
-
-  constexpr int kClients = 8;
-  constexpr int kIterations = 3;
-  std::vector<int> matches(kClients, 0);
-  std::vector<std::string> failures(kClients);
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      auto client = ServeClient::ConnectUnix(socket);
-      if (!client.ok()) {
-        failures[c] = client.status().ToString();
-        return;
-      }
-      for (int it = 0; it < kIterations; ++it) {
-        const size_t b = (c + it) % f.batches.size();
-        auto out = client.value().Transform("demo", f.batches[b]);
-        if (!out.ok()) {
-          failures[c] = out.status().ToString();
-          return;
-        }
-        if (EncodeTable(out.value()) != f.reference[b]) {
-          failures[c] = "response not byte-identical";
-          return;
-        }
-        ++matches[c];
-      }
-    });
-  }
-  for (std::thread& client : clients) client.join();
-
-  for (int c = 0; c < kClients; ++c) {
-    EXPECT_EQ(matches[c], kIterations) << "client " << c << ": " << failures[c];
-  }
-  EXPECT_EQ(f.server->num_connections_accepted(),
-            static_cast<uint64_t>(kClients));
-  EXPECT_EQ(f.server->num_requests_served(),
-            static_cast<uint64_t>(kClients * kIterations));
-  // The acceptance bar: coalescing actually merged concurrent requests.
-  EXPECT_GE(f.server->batcher().num_coalesced_flushes(), 1u);
-  EXPECT_GE(f.server->batcher().max_flush_size(), 2u);
-
-  f.server->Shutdown();
-}
-
 TEST(ServeDaemonTest, DeadlineTravelsWithTheRequest) {
   DaemonFixture f = StartDaemon("feataug_daemon_", ServerOptions());
   auto client = ServeClient::ConnectUnix(f.dir + "/daemon.sock");
   ASSERT_TRUE(client.ok());
 
-  // 1µs from receipt: expires while coalescing -> typed failure, and the
-  // connection remains usable for a follow-up with no deadline.
+  // 1µs from receipt: expires in the queue or, at the latest, during the
+  // fan-out -> typed failure, and the connection remains usable for a
+  // follow-up with no deadline.
   auto expired = client.value().Transform("demo", f.batches[0], /*deadline_us=*/1);
   ASSERT_FALSE(expired.ok());
   EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded)
@@ -167,20 +129,140 @@ TEST(ServeDaemonTest, TcpLoopbackServes) {
   f.server->Shutdown();
 }
 
+// A client that hangs up before reading its reply must cost the daemon
+// only that connection: the reply's write fails with EPIPE (not SIGPIPE,
+// which would kill the process) and the next connection is served.
+TEST(ServeDaemonTest, ClientHangingUpBeforeItsReplyLeavesTheDaemonServing) {
+  DaemonFixture f = StartDaemon("feataug_daemon_", ServerOptions());
+  const std::string socket = f.dir + "/daemon.sock";
+
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  // Refusing to receive before sending makes the daemon's pong hit a
+  // hung-up peer whatever the timing of the close below.
+  ASSERT_EQ(::shutdown(fd, SHUT_RD), 0);
+  ASSERT_TRUE(WriteFrame(fd, MessageType::kPing, "gone").ok());
+  ::close(fd);
+
+  auto client = ServeClient::ConnectUnix(socket);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  EXPECT_TRUE(client.value().Ping().ok());
+  auto out = client.value().Transform("demo", f.batches[2]);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(EncodeTable(out.value()), f.reference[2]);
+
+  f.server->Shutdown();
+}
+
+#ifdef FEATLIB_FAULT_INJECTION
+
+/// Holds the daemon's batcher worker inside its next fan-out: the next
+/// `prepare.train_map` site, which ExecuteServingPlan hits on the
+/// executing thread, runs a hook that blocks until Release(). Arm it only
+/// after the fixture computed its references (they hit the site too).
+class TrainMapHold {
+ public:
+  TrainMapHold() {
+    FaultInjector::Global().Reset();
+    FaultInjector::Global().ArmHook("prepare.train_map", 0,
+                                    [this] { released_.wait(); });
+  }
+  ~TrainMapHold() {
+    Release();
+    FaultInjector::Global().Reset();
+  }
+
+  void Release() {
+    if (!released_once_) {
+      released_once_ = true;
+      release_.set_value();
+    }
+  }
+
+ private:
+  std::promise<void> release_;
+  std::shared_future<void> released_ = release_.get_future().share();
+  bool released_once_ = false;
+};
+
+/// Spins until the batcher has admitted `n` requests.
+void AwaitAdmitted(const Server& server, size_t n) {
+  while (server.batcher().num_requests() < n) std::this_thread::yield();
+}
+
+TEST(ServeDaemonTest, EightConcurrentConnectionsAreByteIdenticalAndCoalesce) {
+  ServerOptions options;
+  options.batcher.num_workers = 1;
+  DaemonFixture f = StartDaemon("feataug_daemon_", std::move(options));
+  const std::string socket = f.dir + "/daemon.sock";
+  ASSERT_TRUE(f.registry->Acquire("demo").ok());
+  // The first request to execute holds the worker until every client's
+  // first request is admitted; the other seven then queue as one group.
+  TrainMapHold hold;
+
+  constexpr int kClients = 8;
+  constexpr int kIterations = 3;
+  std::vector<int> matches(kClients, 0);
+  std::vector<std::string> failures(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      auto client = ServeClient::ConnectUnix(socket);
+      if (!client.ok()) {
+        failures[c] = client.status().ToString();
+        return;
+      }
+      for (int it = 0; it < kIterations; ++it) {
+        const size_t b = (c + it) % f.batches.size();
+        auto out = client.value().Transform("demo", f.batches[b]);
+        if (!out.ok()) {
+          failures[c] = out.status().ToString();
+          return;
+        }
+        if (EncodeTable(out.value()) != f.reference[b]) {
+          failures[c] = "response not byte-identical";
+          return;
+        }
+        ++matches[c];
+      }
+    });
+  }
+  AwaitAdmitted(*f.server, kClients);
+  hold.Release();
+  for (std::thread& client : clients) client.join();
+
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(matches[c], kIterations) << "client " << c << ": " << failures[c];
+  }
+  EXPECT_EQ(f.server->num_connections_accepted(),
+            static_cast<uint64_t>(kClients));
+  EXPECT_EQ(f.server->num_requests_served(),
+            static_cast<uint64_t>(kClients * kIterations));
+  // The acceptance bar: coalescing actually merged concurrent requests.
+  EXPECT_GE(f.server->batcher().num_coalesced_flushes(), 1u);
+  EXPECT_GE(f.server->batcher().max_flush_size(), 2u);
+
+  f.server->Shutdown();
+}
+
 // The ONE test that installs the process-wide signal handler: SIGTERM must
 // drain gracefully — every request admitted before the signal gets its
 // byte-identical response, then new connections are refused.
 TEST(ServeDaemonTest, SigtermDrainsInFlightThenRefusesNewConnections) {
   ServerOptions options;
-  // Requests sit in the coalescing window long enough for SIGTERM to land
-  // while they are genuinely in flight.
-  options.batcher.max_delay_us = 300 * 1000;
+  options.batcher.num_workers = 1;
   DaemonFixture f = StartDaemon("feataug_daemon_", std::move(options));
   const std::string socket = f.dir + "/daemon.sock";
   ASSERT_TRUE(f.server->EnableSignalDrain().ok());
-  // Warm the plan up front so request handling is a map hit — the clients
-  // below must reach the batcher window before the signal lands.
   ASSERT_TRUE(f.registry->Acquire("demo").ok());
+  // One request holds the worker; the rest queue behind it, so all four
+  // are genuinely in flight when the signal lands.
+  TrainMapHold hold;
 
   constexpr int kClients = 4;
   std::vector<Status> results(kClients, Status::Internal("never ran"));
@@ -202,9 +284,11 @@ TEST(ServeDaemonTest, SigtermDrainsInFlightThenRefusesNewConnections) {
     });
   }
 
-  // Let the requests reach the batcher's pending window, then signal.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  AwaitAdmitted(*f.server, kClients);
+  EXPECT_EQ(f.server->num_requests_served(), 0u);
   ASSERT_EQ(std::raise(SIGTERM), 0);
+  while (!f.server->draining()) std::this_thread::yield();
+  hold.Release();
   f.server->Wait();
 
   // Drain contract: every admitted request completed with its real result.
@@ -221,6 +305,8 @@ TEST(ServeDaemonTest, SigtermDrainsInFlightThenRefusesNewConnections) {
     EXPECT_FALSE(late.value().Ping().ok());
   }
 }
+
+#endif  // FEATLIB_FAULT_INJECTION
 
 }  // namespace
 }  // namespace serve

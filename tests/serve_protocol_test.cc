@@ -73,6 +73,15 @@ TEST(ServeProtocolTest, FrameRoundTripAndIncrementalDecode) {
   EXPECT_EQ(frame.payload, "x");
 }
 
+TEST(ServeProtocolTest, WriteToAHungUpPeerIsIOErrorNotSigpipe) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::close(fds[1]);
+  const Status st = WriteFrame(fds[0], MessageType::kPong, "late reply");
+  EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+  ::close(fds[0]);
+}
+
 TEST(ServeProtocolTest, CorruptEnvelopesAreTypedErrors) {
   const std::string good = EncodeFrame(MessageType::kPing, "payload");
   auto expect_corrupt = [](std::string wire, StatusCode code,

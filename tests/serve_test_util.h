@@ -105,10 +105,11 @@ inline AugmentationPlan MakePlan() {
 }
 
 /// In-process warm handle over the fixture (no files involved).
-inline std::shared_ptr<const FittedAugmenter> MakeHandle() {
+inline std::shared_ptr<const FittedAugmenter> MakeHandle(
+    std::vector<AggQuery> queries = MakeQueries()) {
   FittedAugmenter::Source source;
   source.relevant = MakeRelevant();
-  source.queries = MakeQueries();
+  source.queries = std::move(queries);
   std::vector<FittedAugmenter::Source> sources;
   sources.push_back(std::move(source));
   auto created = FittedAugmenter::Create(std::move(sources));
