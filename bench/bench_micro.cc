@@ -535,10 +535,15 @@ KernelCompositeOut RunKernelComposite(const KernelOps& ops) {
                                       &out.first_selected);
   out.sum = ops.aggregate_streaming(AggFunction::kSum, *in.index,
                                     &in.dense_mask, in.view.data(), nullptr);
-  out.mat = ops.build_materialized(*in.coarse_index, &in.dense_mask,
-                                   in.view.data());
-  out.mn = ops.aggregate_from_materialized(AggFunction::kMin, out.mat);
-  out.mx = ops.aggregate_from_materialized(AggFunction::kMax, out.mat);
+  out.mat = BuildMaterializedValues(ops, *in.coarse_index, &in.dense_mask,
+                                    in.view.data());
+  const size_t n_groups = out.mat.present.size();
+  out.mn.resize(n_groups);
+  out.mx.resize(n_groups);
+  ops.aggregate_from_materialized(AggFunction::kMin, out.mat, 0, n_groups,
+                                  out.mn.data());
+  ops.aggregate_from_materialized(AggFunction::kMax, out.mat, 0, n_groups,
+                                  out.mx.data());
   return out;
 }
 

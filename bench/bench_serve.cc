@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -201,16 +202,9 @@ Status MergeRecordInto(const std::string& path,
   return Status::OK();
 }
 
-int Run(const ServeBenchConfig& config) {
+// The measured run over the fixture directory `dir`; returns the exit code.
+int RunIn(const ServeBenchConfig& config, const std::string& dir) {
   // --- Fixture: plan pair on disk, daemon over a unix socket. ---
-  std::string dir_template = "/tmp/feataug_bench_serve_XXXXXX";
-  std::vector<char> dir_buf(dir_template.begin(), dir_template.end());
-  dir_buf.push_back('\0');
-  if (::mkdtemp(dir_buf.data()) == nullptr) {
-    std::fprintf(stderr, "mkdtemp failed\n");
-    return 1;
-  }
-  const std::string dir = dir_buf.data();
   const Table relevant = MakeRelevant(config.relevant_rows);
   FEAT_CHECK(WriteCsv(relevant, dir + "/bench.relevant.csv").ok(),
              "fixture write");
@@ -329,6 +323,21 @@ int Run(const ServeBenchConfig& config) {
       server.batcher().num_coalesced_flushes(),
       bit_identical ? "true" : "false", config.out_path.c_str());
   return bit_identical ? 0 : 1;
+}
+
+int Run(const ServeBenchConfig& config) {
+  std::string dir_template = "/tmp/feataug_bench_serve_XXXXXX";
+  std::vector<char> dir_buf(dir_template.begin(), dir_template.end());
+  dir_buf.push_back('\0');
+  if (::mkdtemp(dir_buf.data()) == nullptr) {
+    std::fprintf(stderr, "mkdtemp failed\n");
+    return 1;
+  }
+  const std::string dir = dir_buf.data();
+  const int rc = RunIn(config, dir);
+  std::error_code ignored;
+  std::filesystem::remove_all(dir, ignored);
+  return rc;
 }
 
 }  // namespace

@@ -234,6 +234,10 @@ FEATLIB_CSV_FUZZ_SEED="$CSV_FUZZ_SEED" FEATLIB_CSV_FUZZ_ITERS="$CSV_FUZZ_ITERS" 
 # morsel_test pins the out-of-core pipeline: the pool's per-candidate
 # combine fan-out reading one morsel's shared artifacts while each task
 # writes only its own accumulator.
+# query_planner_test and kernel_dispatch_test split one candidate's work
+# across the pool: row-chunk tally/fill tasks of one bucket build write
+# disjoint slices of the same flat array, and group-range kernel items of
+# one candidate write disjoint ranges of its shared per-group buffer.
 # serving_concurrency_test runs concurrent Transform calls on one handle:
 # each maps its batch and scatters the shared frozen per-group values, with
 # no aggregation and no shared mutable state.)
@@ -242,6 +246,7 @@ TSAN_TESTS=(
   executor_parallel_test
   morsel_test
   query_planner_test
+  kernel_dispatch_test
   artifact_store_test
   serving_concurrency_test
   generator_test

@@ -76,9 +76,22 @@ class Bitset {
   /// the executor depends on.
   template <typename Fn>
   void ForEachSetBit(Fn&& fn) const {
-    const size_t n_words = words_.size();
-    for (size_t w = 0; w < n_words; ++w) {
+    ForEachSetBitIn(0, n_bits_, fn);
+  }
+
+  /// ForEachSetBit restricted to rows [begin, end): the edge words are
+  /// masked, so a range may start and end anywhere inside a word.
+  template <typename Fn>
+  void ForEachSetBitIn(size_t begin, size_t end, Fn&& fn) const {
+    if (begin >= end) return;
+    const size_t w_begin = begin >> 6;
+    const size_t w_end = (end + 63) >> 6;
+    for (size_t w = w_begin; w < w_end; ++w) {
       uint64_t bits = words_[w];
+      if (w == w_begin) bits &= ~uint64_t{0} << (begin & 63);
+      if (w + 1 == w_end && (end & 63) != 0) {
+        bits &= (uint64_t{1} << (end & 63)) - 1;
+      }
       const size_t base = w << 6;
       while (bits != 0) {
         fn(base + static_cast<size_t>(std::countr_zero(bits)));

@@ -9,10 +9,11 @@
 /// it. This layer adds the second implementation set and the switch between
 /// them: a `KernelOps` table bundles every kernel entry point the planner
 /// and the morsel executor dispatch through — streaming aggregation,
-/// per-range absorption into a GroupAccumulator, bucket-slice aggregation,
-/// bucket materialization, and the predicate-to-mask evaluation of the
-/// prepare phase. The scatter onto training rows that ends every feature
-/// column is backend-neutral (ScatterPerGroup, query/kernels.h).
+/// per-range absorption into a GroupAccumulator, bucket-slice aggregation
+/// over a group range, bucket materialization (a tally and a fill over a row
+/// range), and the predicate-to-mask evaluation of the prepare phase. The
+/// scatter onto training rows that ends every feature column is
+/// backend-neutral (ScatterPerGroup, query/kernels.h).
 ///
 /// Two tables exist:
 ///   - **scalar** — the reference kernels in query/kernels.cc, the
@@ -81,13 +82,19 @@ struct KernelOps {
   /// row range (e.g. a morsel) into a candidate's accumulator.
   void (*absorb)(GroupAccumulator& acc, const uint32_t* row_groups,
                  size_t n_rows, const Bitset* mask, const double* view);
-  /// See AggregateFromMaterialized.
-  std::vector<double> (*aggregate_from_materialized)(
-      AggFunction fn, const MaterializedValues& m);
-  /// BuildMaterializedValues with this table's iteration.
-  MaterializedValues (*build_materialized)(const GroupIndex& index,
-                                           const Bitset* mask,
-                                           const double* view);
+  /// See AggregateFromMaterialized: the groups [g_begin, g_end) of a
+  /// bucket into out[g].
+  void (*aggregate_from_materialized)(AggFunction fn,
+                                      const MaterializedValues& m,
+                                      size_t g_begin, size_t g_end,
+                                      double* out);
+  /// TallyMaterialized (query/kernels.h) with this table's iteration.
+  void (*tally_materialized)(const GroupIndex& index, const Bitset* mask,
+                             const double* view, MaterializeChunk* chunk);
+  /// FillMaterialized (query/kernels.h) with this table's iteration.
+  void (*fill_materialized)(const GroupIndex& index, const Bitset* mask,
+                            const double* view, MaterializeChunk* chunk,
+                            double* flat);
   /// Evaluates the filter into `out` (pre-sized to the table, all-zero):
   /// sets exactly the bits of rows where CompiledFilter::Matches is true.
   void (*build_filter_mask)(const CompiledFilter& filter, Bitset* out);
@@ -102,6 +109,14 @@ const KernelOps& KernelOpsFor(KernelBackend backend);
 /// `override_backend` wins, else FEATLIB_KERNEL_BACKEND / FeatAugConfig,
 /// else ISA detection.
 const KernelOps& ResolveKernelOps(KernelBackend override_backend);
+
+/// A whole bucket materialization through `ops`, as one chunk: tally,
+/// layout, fill. The planner runs the same kernels over row chunks in
+/// parallel (QueryPlanner::Prepare); tests and benches use this serial form.
+MaterializedValues BuildMaterializedValues(const KernelOps& ops,
+                                           const GroupIndex& index,
+                                           const Bitset* mask,
+                                           const double* view);
 
 /// The simd table (internal: exposed for KernelOpsFor and the parity
 /// tests/bench, which pin simd-vs-scalar regardless of the environment).

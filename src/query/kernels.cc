@@ -14,16 +14,31 @@ double Nan() { return std::nan(""); }
 
 }  // namespace
 
-std::vector<double> AggregateFromMaterialized(AggFunction fn,
-                                              const MaterializedValues& m) {
-  const size_t n_groups = m.present.size();
-  std::vector<double> feature(n_groups, Nan());
+void LayoutMaterialized(std::vector<MaterializeChunk>& chunks,
+                        size_t n_groups, MaterializedValues* m) {
+  m->present.assign(n_groups, 0);
+  m->offsets.assign(n_groups + 1, 0);
   for (size_t g = 0; g < n_groups; ++g) {
-    if (m.present[g] == 0) continue;
-    feature[g] = ComputeAggregate(fn, m.flat.data() + m.offsets[g],
-                                  m.offsets[g + 1] - m.offsets[g]);
+    size_t at = m->offsets[g];
+    for (MaterializeChunk& chunk : chunks) {
+      m->present[g] += chunk.present[g];
+      const size_t values = chunk.cursor[g];
+      chunk.cursor[g] = at;
+      at += values;
+    }
+    m->offsets[g + 1] = at;
   }
-  return feature;
+  m->flat.resize(m->offsets[n_groups]);
+}
+
+void AggregateFromMaterialized(AggFunction fn, const MaterializedValues& m,
+                               size_t g_begin, size_t g_end, double* out) {
+  for (size_t g = g_begin; g < g_end; ++g) {
+    out[g] = m.present[g] == 0
+                 ? Nan()
+                 : ComputeAggregate(fn, m.flat.data() + m.offsets[g],
+                                    m.offsets[g + 1] - m.offsets[g]);
+  }
 }
 
 std::vector<double> ScatterPerGroup(const std::vector<double>& per_group,

@@ -12,13 +12,14 @@
 /// resolved input of one candidate's kernel: raw pointers to store-owned
 /// (epoch-pinned) or caller-owned const data.
 ///
-/// Streaming aggregation and bucket materialization are written once, as
-/// templates over a `Spans` iteration of the selected rows; each kernel
-/// backend (query/kernel_dispatch.h) instantiates them with its own
-/// iteration — `RowSpans` below is the scalar reference. The per-group
-/// arithmetic lives in the one GroupAccumulator (query/group_accumulator.h);
-/// the dense-slice oracle ComputeAggregate (query/aggregate.h) aggregates
-/// materialized buckets.
+/// Streaming aggregation and bucket materialization (a tally and a fill
+/// over one row range) are written once, as templates over a `Spans`
+/// iteration of the selected rows of a row range; each kernel backend
+/// (query/kernel_dispatch.h) instantiates them with its own iteration —
+/// `RowSpans` below is the scalar reference. The per-group arithmetic lives
+/// in the one GroupAccumulator (query/group_accumulator.h); the dense-slice
+/// oracle ComputeAggregate (query/aggregate.h) aggregates materialized
+/// buckets.
 ///
 /// Bit-identity contract: every accumulation visits selected rows in
 /// ascending row order — the same order the original per-candidate executor
@@ -78,13 +79,17 @@ struct PlannedCandidate {
   const MaterializedValues* mat = nullptr;  // aggregate from slices if set
 };
 
-/// The reference selected-row iteration: every selected row of a row range
-/// as a span of one, by a per-bit scan of `mask` (all rows when null),
-/// skipping rows with no group.
+/// The reference selected-row iteration: every selected row of the row
+/// range [row_begin, row_end) as a span of one, by a per-bit scan of `mask`
+/// (all rows of the range when null), skipping rows with no group.
 class RowSpans {
  public:
-  RowSpans(const uint32_t* row_groups, size_t n_rows, const Bitset* mask)
-      : row_groups_(row_groups), n_rows_(n_rows), mask_(mask) {}
+  RowSpans(const uint32_t* row_groups, size_t row_begin, size_t row_end,
+           const Bitset* mask)
+      : row_groups_(row_groups),
+        row_begin_(row_begin),
+        row_end_(row_end),
+        mask_(mask) {}
 
   template <typename Body>
   void operator()(Body&& body) const {
@@ -93,15 +98,16 @@ class RowSpans {
       if (g != GroupIndex::kNoGroup) body(g, row, row + 1);
     };
     if (mask_ == nullptr) {
-      for (size_t row = 0; row < n_rows_; ++row) visit(row);
+      for (size_t row = row_begin_; row < row_end_; ++row) visit(row);
     } else {
-      mask_->ForEachSetBit(visit);
+      mask_->ForEachSetBitIn(row_begin_, row_end_, visit);
     }
   }
 
  private:
   const uint32_t* row_groups_;
-  size_t n_rows_;
+  size_t row_begin_;
+  size_t row_end_;
   const Bitset* mask_;
 };
 
@@ -110,7 +116,7 @@ class RowSpans {
 template <typename Spans>
 void AbsorbRows(GroupAccumulator& acc, const uint32_t* row_groups,
                 size_t n_rows, const Bitset* mask, const double* view) {
-  acc.Absorb(view, Spans(row_groups, n_rows, mask));
+  acc.Absorb(view, Spans(row_groups, 0, n_rows, mask));
 }
 
 /// The streaming kernel: per-group aggregate values for one candidate over
@@ -132,7 +138,7 @@ std::vector<double> AggregateStreaming(
   if (n_groups == 0 || (mask != nullptr && mask->Count() == 0)) {
     return std::vector<double>(n_groups, std::nan(""));
   }
-  const Spans spans(index.row_groups().data(), index.num_rows(), mask);
+  const Spans spans(index.row_groups().data(), 0, index.num_rows(), mask);
   if (first_selected_row) {
     spans([&](uint32_t g, size_t b, size_t) {
       uint32_t& first = (*first_selected_row)[g];
@@ -149,45 +155,80 @@ std::vector<double> AggregateStreaming(
   return acc.Finish();
 }
 
-/// Builds one bucket materialization: the selected non-null values of
-/// `view`, bucketed by group id into one flat array in ascending row order
-/// (a tally pass sizes the slices, a fill pass copies the values). Pure —
-/// safe to run concurrently with other artifact builds.
+/// One row range of a bucket materialization. A bucket is built in three
+/// steps: every chunk tallies its rows (TallyMaterialized, chunks in
+/// parallel), one serial LayoutMaterialized sums the tallies into the
+/// bucket's offsets and turns each chunk's value counts into its write
+/// cursors, and every chunk copies its values (FillMaterialized, chunks in
+/// parallel). Chunks write disjoint parts of the flat array, and group g's
+/// values from chunk c land after those of every earlier chunk, so the
+/// result is the one-pass array: each group's values in ascending row order.
+struct MaterializeChunk {
+  size_t row_begin = 0;
+  size_t row_end = 0;
+  /// Per group: selected rows of the chunk (nulls included).
+  std::vector<uint32_t> present;
+  /// Per group: the chunk's non-null values after the tally; after
+  /// LayoutMaterialized, the flat position its next value goes to.
+  std::vector<size_t> cursor;
+
+  /// A chunk over [row_begin, row_end) with zeroed tallies for `n_groups`.
+  MaterializeChunk(size_t begin, size_t end, size_t n_groups)
+      : row_begin(begin),
+        row_end(end),
+        present(n_groups, 0),
+        cursor(n_groups, 0) {}
+};
+
+/// The tally kernel: adds the chunk's selected rows and non-null values per
+/// group into `chunk->present` and `chunk->cursor`. Pure over its inputs;
+/// chunks of one bucket may run concurrently.
 template <typename Spans>
-MaterializedValues BuildMaterializedValues(const GroupIndex& index,
-                                           const Bitset* mask,
-                                           const double* view) {
-  const size_t n_groups = index.num_groups();
-  const Spans spans(index.row_groups().data(), index.num_rows(), mask);
-  MaterializedValues m;
-  m.present.assign(n_groups, 0);
-  std::vector<uint32_t> value_count(n_groups, 0);
+void TallyMaterialized(const GroupIndex& index, const Bitset* mask,
+                       const double* view, MaterializeChunk* chunk) {
+  const Spans spans(index.row_groups().data(), chunk->row_begin,
+                    chunk->row_end, mask);
+  uint32_t* present = chunk->present.data();
+  size_t* values = chunk->cursor.data();
   spans([&](uint32_t g, size_t b, size_t e) {
-    m.present[g] += static_cast<uint32_t>(e - b);
-    uint32_t n = 0;
+    present[g] += static_cast<uint32_t>(e - b);
+    size_t n = 0;
     for (size_t row = b; row < e; ++row) n += !std::isnan(view[row]);
-    value_count[g] += n;
+    values[g] += n;
   });
-  m.offsets.assign(n_groups + 1, 0);
-  for (size_t g = 0; g < n_groups; ++g) {
-    m.offsets[g + 1] = m.offsets[g] + value_count[g];
-  }
-  m.flat.resize(m.offsets[n_groups]);
-  std::vector<size_t> cursor(m.offsets.begin(), m.offsets.end() - 1);
+}
+
+/// The fill kernel: copies the chunk's selected non-null values into `flat`
+/// through its laid-out cursors, in ascending row order.
+template <typename Spans>
+void FillMaterialized(const GroupIndex& index, const Bitset* mask,
+                      const double* view, MaterializeChunk* chunk,
+                      double* flat) {
+  const Spans spans(index.row_groups().data(), chunk->row_begin,
+                    chunk->row_end, mask);
+  size_t* cursor = chunk->cursor.data();
   spans([&](uint32_t g, size_t b, size_t e) {
     size_t c = cursor[g];
     for (size_t row = b; row < e; ++row) {
       const double v = view[row];
-      if (!std::isnan(v)) m.flat[c++] = v;
+      if (!std::isnan(v)) flat[c++] = v;
     }
     cursor[g] = c;
   });
-  return m;
 }
 
-/// Per-group aggregates over a materialized bucket's flat slices.
-std::vector<double> AggregateFromMaterialized(AggFunction fn,
-                                              const MaterializedValues& m);
+/// The serial step between tally and fill: sums the tallied `chunks` (in
+/// chunk order) into `m`'s present counts and offsets, sizes `m->flat`, and
+/// rewrites each chunk's value counts as its write cursors.
+void LayoutMaterialized(std::vector<MaterializeChunk>& chunks,
+                        size_t n_groups, MaterializedValues* m);
+
+/// Per-group aggregates over a materialized bucket's flat slices, for the
+/// groups [g_begin, g_end): writes out[g] (NaN for a group with no selected
+/// row). Ranges of one bucket write disjoint parts of `out`, so they may
+/// run concurrently; [0, G) is the whole bucket.
+void AggregateFromMaterialized(AggFunction fn, const MaterializedValues& m,
+                               size_t g_begin, size_t g_end, double* out);
 
 /// The scatter step every feature column ends with: per-group values through
 /// a training-row map (training row -> group id) into a column aligned to

@@ -9,9 +9,9 @@
 ///  - **Floating-point reductions keep scalar order.** SUM/AVG/VAR are
 ///    sequential dependence chains whose result depends on accumulation
 ///    order; re-associating them into vector lanes would change low bits.
-///    Streaming aggregation, absorption and materialization are therefore
-///    the shared templates of kernels.h over the one GroupAccumulator; this
-///    backend contributes only their *iteration* (SegmentSpans, below).
+///    Streaming aggregation, absorption and materialization (tally + fill)
+///    are therefore the shared templates of kernels.h; this backend
+///    contributes only their *iteration* (SegmentSpans, below).
 ///  - **Mask iteration is run-decoded.** The streaming kernels' per-row cost
 ///    is dominated by per-bit scanning (countr_zero + clear-lowest) and the
 ///    grouped scatter, not arithmetic. Decoding each mask word into runs of
@@ -64,22 +64,30 @@ double Nan() { return std::nan(""); }
 // ---------------------------------------------------------------------------
 
 /// Invokes `body(begin, end)` for every maximal run of consecutive selected
-/// rows, in ascending order. Decodes each 64-bit mask word with
-/// countr_zero/countr_one and merges runs that continue across word
-/// boundaries, so a dense mask costs two bit-scans per word instead of one
-/// per row. A null mask is the full range [0, n).
+/// rows of [row_begin, row_end), in ascending order. Decodes each 64-bit mask
+/// word with countr_zero/countr_one (the range's edge words masked) and
+/// merges runs that continue across word boundaries, so a dense mask costs
+/// two bit-scans per word instead of one per row. A null mask is the whole
+/// range.
 template <typename Body>
-void ForEachSelectedRun(const Bitset* mask, size_t n, Body&& body) {
+void ForEachSelectedRun(const Bitset* mask, size_t row_begin, size_t row_end,
+                        Body&& body) {
+  if (row_begin >= row_end) return;
   if (mask == nullptr) {
-    if (n > 0) body(size_t{0}, n);
+    body(row_begin, row_end);
     return;
   }
   const uint64_t* words = mask->words();
-  const size_t n_words = mask->num_words();
+  const size_t w_begin = row_begin >> 6;
+  const size_t w_end = (row_end + 63) >> 6;
   size_t run_begin = 0;
   size_t run_end = 0;
-  for (size_t w = 0; w < n_words; ++w) {
+  for (size_t w = w_begin; w < w_end; ++w) {
     uint64_t bits = words[w];
+    if (w == w_begin) bits &= ~uint64_t{0} << (row_begin & 63);
+    if (w + 1 == w_end && (row_end & 63) != 0) {
+      bits &= (uint64_t{1} << (row_end & 63)) - 1;
+    }
     const size_t base = w << 6;
     while (bits != 0) {
       const int start = std::countr_zero(bits);
@@ -100,11 +108,12 @@ void ForEachSelectedRun(const Bitset* mask, size_t n, Body&& body) {
   if (run_end != run_begin) body(run_begin, run_end);
 }
 
-/// Run-decoded replacement for Bitset::ForEachSetBit / the all-rows loop:
+/// Run-decoded replacement for Bitset::ForEachSetBitIn / the all-rows loop:
 /// same rows, same ascending order, contiguous inner loops.
 template <typename OnRow>
-void StreamSelected(const Bitset* mask, size_t n, OnRow&& on_row) {
-  ForEachSelectedRun(mask, n, [&](size_t begin, size_t end) {
+void StreamSelected(const Bitset* mask, size_t row_begin, size_t row_end,
+                    OnRow&& on_row) {
+  ForEachSelectedRun(mask, row_begin, row_end, [&](size_t begin, size_t end) {
     for (size_t row = begin; row < end; ++row) on_row(row);
   });
 }
@@ -117,9 +126,9 @@ void StreamSelected(const Bitset* mask, size_t n, OnRow&& on_row) {
 /// accumulation still happens in the same ascending row order — the
 /// bit-identity contract is untouched.
 template <typename Body>
-void ForEachGroupSegment(const Bitset* mask, const uint32_t* groups, size_t n,
-                         Body&& body) {
-  ForEachSelectedRun(mask, n, [&](size_t begin, size_t end) {
+void ForEachGroupSegment(const Bitset* mask, const uint32_t* groups,
+                         size_t row_begin, size_t row_end, Body&& body) {
+  ForEachSelectedRun(mask, row_begin, row_end, [&](size_t begin, size_t end) {
     size_t b = begin;
     while (b < end) {
       const uint32_t g = groups[b];
@@ -146,25 +155,28 @@ bool GroupsAreClustered(const uint32_t* groups, size_t n) {
 }
 
 /// This backend's selected-row iteration (the `Spans` of query/kernels.h):
-/// group-constant segments when the index layout rewards it, otherwise
+/// group-constant segments when the layout rewards it (probed on the
+/// table's prefix, so every range of a table iterates alike), otherwise
 /// per-row spans of length 1. Either way the body sees the same rows in the
 /// same ascending order as the scalar RowSpans, so the one accumulator can
 /// hold a segment's per-group state in registers without changing a bit.
 class SegmentSpans {
  public:
-  SegmentSpans(const uint32_t* groups, size_t n, const Bitset* mask)
+  SegmentSpans(const uint32_t* groups, size_t row_begin, size_t row_end,
+               const Bitset* mask)
       : groups_(groups),
-        n_(n),
+        row_begin_(row_begin),
+        row_end_(row_end),
         mask_(mask),
-        clustered_(GroupsAreClustered(groups, n)) {}
+        clustered_(GroupsAreClustered(groups, row_end)) {}
 
   template <typename Body>
   void operator()(Body&& body) const {
     if (clustered_) {
-      ForEachGroupSegment(mask_, groups_, n_, body);
+      ForEachGroupSegment(mask_, groups_, row_begin_, row_end_, body);
       return;
     }
-    StreamSelected(mask_, n_, [&](size_t row) {
+    StreamSelected(mask_, row_begin_, row_end_, [&](size_t row) {
       const uint32_t g = groups_[row];
       if (g != kNoGroup) body(g, row, row + 1);
     });
@@ -172,7 +184,8 @@ class SegmentSpans {
 
  private:
   const uint32_t* groups_;
-  size_t n_;
+  size_t row_begin_;
+  size_t row_end_;
   const Bitset* mask_;
   bool clustered_;
 };
@@ -328,28 +341,21 @@ SliceFn SliceMaxFn() {
 // Kernel entry points
 // ---------------------------------------------------------------------------
 
-std::vector<double> SimdAggregateFromMaterialized(AggFunction fn,
-                                                  const MaterializedValues& m) {
-  const size_t n_groups = m.present.size();
-  std::vector<double> feature(n_groups, Nan());
+void SimdAggregateFromMaterialized(AggFunction fn, const MaterializedValues& m,
+                                   size_t g_begin, size_t g_end, double* out) {
+  if (fn != AggFunction::kMin && fn != AggFunction::kMax) {
+    // All other aggregates are order-sensitive or cold: the shared scalar
+    // ComputeAggregate per slice, exactly as the scalar backend does.
+    AggregateFromMaterialized(fn, m, g_begin, g_end, out);
+    return;
+  }
+  const SliceFn slice = fn == AggFunction::kMin ? SliceMinFn() : SliceMaxFn();
   const double* flat = m.flat.data();
-  if (fn == AggFunction::kMin || fn == AggFunction::kMax) {
-    const SliceFn slice = fn == AggFunction::kMin ? SliceMinFn() : SliceMaxFn();
-    for (size_t g = 0; g < n_groups; ++g) {
-      if (m.present[g] == 0) continue;
-      feature[g] =
-          slice(flat + m.offsets[g], m.offsets[g + 1] - m.offsets[g]);
-    }
-    return feature;
+  for (size_t g = g_begin; g < g_end; ++g) {
+    out[g] = m.present[g] == 0
+                 ? Nan()
+                 : slice(flat + m.offsets[g], m.offsets[g + 1] - m.offsets[g]);
   }
-  // All other aggregates are order-sensitive or cold; delegate each slice to
-  // the shared scalar ComputeAggregate, exactly as the scalar backend does.
-  for (size_t g = 0; g < n_groups; ++g) {
-    if (m.present[g] == 0) continue;
-    feature[g] = ComputeAggregate(fn, flat + m.offsets[g],
-                                  m.offsets[g + 1] - m.offsets[g]);
-  }
-  return feature;
 }
 
 // ---------------------------------------------------------------------------
@@ -628,7 +634,8 @@ const KernelOps& SimdKernelOps() {
       /*aggregate_streaming=*/&AggregateStreaming<SegmentSpans>,
       /*absorb=*/&AbsorbRows<SegmentSpans>,
       /*aggregate_from_materialized=*/&SimdAggregateFromMaterialized,
-      /*build_materialized=*/&BuildMaterializedValues<SegmentSpans>,
+      /*tally_materialized=*/&TallyMaterialized<SegmentSpans>,
+      /*fill_materialized=*/&FillMaterialized<SegmentSpans>,
       /*build_filter_mask=*/&SimdBuildFilterMask,
   };
   return ops;

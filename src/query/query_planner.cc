@@ -1,8 +1,10 @@
 #include "query/query_planner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <exception>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -111,45 +113,77 @@ std::string BucketKey(const std::string& group_key, const std::string& agg_attr,
   return out;
 }
 
-// Per-group aggregate values of one prepared candidate through `ops`: from
-// its bucket materialization when it has one, streaming otherwise.
-std::vector<double> AggregatePlanned(const KernelOps& ops,
-                                     const PlannedCandidate& p) {
-  return p.mat != nullptr
-             ? ops.aggregate_from_materialized(p.query->agg, *p.mat)
-             : ops.aggregate_streaming(p.query->agg, *p.index, p.mask, p.view,
-                                       nullptr);
+// Rows per stage-C build task: about 32k, rounded up to a multiple of 64 so
+// chunk edges fall on mask words. A chunk also spans at least
+// kMatRowsPerGroup rows per group of the bucket, so a bucket's tallies (12
+// bytes per group and chunk) stay under 1.5 bytes per row: a high-cardinality
+// bucket, whose build is cheap, stays in one chunk.
+constexpr size_t kMatChunkRows = 32768;
+constexpr size_t kMatRowsPerGroup = 8;
+
+size_t MatChunkRows(size_t n_rows, size_t n_groups) {
+  size_t chunks = std::max<size_t>(1, (n_rows + kMatChunkRows - 1) /
+                                          kMatChunkRows);
+  if (n_groups > 0) {
+    chunks = std::min(chunks, std::max<size_t>(
+                                  1, n_rows / (n_groups * kMatRowsPerGroup)));
+  }
+  const size_t rows = (n_rows + chunks - 1) / chunks;
+  return std::max<size_t>(64, (rows + 63) / 64 * 64);
 }
 
-// The per-candidate fan-out shared by the in-RAM evaluate body and
-// ExecuteServingPlan: runs body(i) for each of `n` candidates into disjoint
-// slots, on `pool` when non-null and inline otherwise. `slot_errors` is the
-// planner's failure contract: nullptr returns the first failing body's
-// Status (by index); non-null skips candidates whose slot already failed
-// and records each new failure in its own slot. Only a tripped ctx fails
-// the call then.
-template <typename Body>
-Status FanOut(size_t n, ThreadPool* pool, const ExecContext* ctx,
-              std::vector<Status>* slot_errors, const Body& body) {
-  std::vector<Status> errors(n);
-  auto run_one = [&](size_t i) {
-    if (slot_errors != nullptr && !(*slot_errors)[i].ok()) return;
-    errors[i] = body(i);
-  };
-  if (pool != nullptr) {
-    FEAT_RETURN_NOT_OK(pool->ParallelFor(n, run_one, 0, ctx));
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      FEAT_RETURN_NOT_OK(ExecContext::CheckFor(ctx));
-      run_one(i);
-    }
-  }
+// Bytes of one bucket build's chunk tallies (present + cursor per group).
+size_t MatTallyBytes(size_t n_rows, size_t n_groups) {
+  const size_t chunk_rows = MatChunkRows(n_rows, n_groups);
+  return (n_rows + chunk_rows - 1) / chunk_rows * n_groups *
+         (sizeof(uint32_t) + sizeof(size_t));
+}
+
+// Flat values per fan-out item: a materialized candidate splits into
+// consecutive group ranges of about this many values (each group counts one
+// more), so one slow candidate — MEDIAN's selection, the sorts behind
+// COUNT_DISTINCT, MODE and ENTROPY — spreads across the pool.
+constexpr size_t kKernelRangeValues = 8192;
+
+// Runs fn(0..n-1) on `pool` in chunks of `chunk` indices (0 = automatic),
+// or inline in index order without one; a tripped ctx stops either.
+Status RunTasks(size_t n, ThreadPool* pool, size_t chunk,
+                const ExecContext* ctx,
+                const std::function<void(size_t)>& fn) {
+  if (pool != nullptr) return pool->ParallelFor(n, fn, chunk, ctx);
   for (size_t i = 0; i < n; ++i) {
+    FEAT_RETURN_NOT_OK(ExecContext::CheckFor(ctx));
+    fn(i);
+  }
+  return Status::OK();
+}
+
+// Moves per-candidate failures into the planner's failure contract:
+// without `slot_errors` the first failure (by index) fails the call;
+// with it each failure lands in its candidate's slot.
+Status MergeSlotErrors(std::vector<Status>& errors,
+                       std::vector<Status>* slot_errors) {
+  for (size_t i = 0; i < errors.size(); ++i) {
     if (errors[i].ok()) continue;
     if (slot_errors == nullptr) return std::move(errors[i]);
     (*slot_errors)[i] = std::move(errors[i]);
   }
   return Status::OK();
+}
+
+// Runs a bucket's stage-C step on the coordinator thread (its fault site
+// and chunk tallies, its flat array) and fails it the way a pool task
+// fails: a thrown exception, e.g. std::bad_alloc, becomes a kInternal
+// Status — here the bucket's own.
+template <typename Body>
+Status CatchBuild(const Body& body) {
+  try {
+    return body();
+  } catch (const std::exception& e) {
+    return Status::Internal(std::string("build threw: ") + e.what());
+  } catch (...) {
+    return Status::Internal("build threw a non-std::exception value");
+  }
 }
 
 // ---- Compile-time artifact request graph -----------------------------------
@@ -210,6 +244,11 @@ struct MatReq {  // bucket materialization (depends on group + mask + view)
   int mask_single = -1;
   int mask_combo = -1;
   size_t view = 0;
+  // Build inputs, resolved once stages A and B have published them.
+  const GroupIndex* index = nullptr;
+  const Bitset* mask = nullptr;  // null = all rows selected
+  const double* view_data = nullptr;
+  std::vector<MaterializeChunk> chunks;  // row chunks of the build
   const MaterializedValues* values = nullptr;
   std::optional<MaterializedValues> built;
   bool empty_selection = false;  // mask proved empty; build short-circuited
@@ -499,9 +538,10 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
   // ---- Memory budget: charge conservative size estimates for every build
   // this batch schedules, before any build allocates. The batch either fits
   // the budget or fails kResourceExhausted up front — a half-built batch
-  // never trips mid-publish. ----
+  // never trips mid-publish. (Stage C's group-sized buffers are charged once
+  // stage A has published the group counts they are sized by.) ----
+  const size_t n_rows = relevant.num_rows();
   if (ctx != nullptr) {
-    const size_t n_rows = relevant.num_rows();
     size_t planned_bytes = 0;
     planned_bytes += a_groups.size() * n_rows * sizeof(uint32_t);
     planned_bytes += (a_masks.size() + b_combos.size()) * (n_rows / 8 + 16);
@@ -660,13 +700,58 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
     }
   };
 
-  auto run_stage_c = [&](size_t t) {
-    if (!stage_error.ok()) return;
-    MatReq& req = mats[c_mats[t]];
+  // Runs `stages` on the pool, or inline in order without one. A tripped
+  // context returns *before* the failed stage's publish: the store keeps
+  // only fully-published artifacts of completed stages.
+  auto run_stages = [&](const std::vector<ThreadPool::Stage>& stages) {
+    if (pool_ != nullptr) return pool_->ParallelForStages(stages, ctx);
+    for (const ThreadPool::Stage& stage : stages) {
+      for (size_t t = 0; t < stage.n; ++t) {
+        FEAT_RETURN_NOT_OK(ExecContext::CheckFor(ctx));
+        stage.run(t);
+      }
+      FEAT_RETURN_NOT_OK(ExecContext::CheckFor(ctx));
+      if (stage.publish) stage.publish();
+    }
+    return Status::OK();
+  };
+  FEAT_RETURN_NOT_OK(run_stages({{n_a, run_stage_a, publish_stage_a},
+                                 {n_b, run_stage_b, publish_stage_b}}));
+  FEAT_RETURN_NOT_OK(stage_error);
+
+  // ---- Stage C budget, now that stage A has published the group counts:
+  // every bucket's chunk tallies (released again in the true-up — they die
+  // with this call) and the fan-out's per-group buffer of each materialized
+  // candidate. ----
+  size_t tally_bytes = 0;
+  if (ctx != nullptr) {
+    size_t per_group_bytes = 0;
+    for (const MatReq& req : mats) {
+      const GroupReq& group = groups[req.group];
+      if (group.artifact == nullptr) continue;  // isolated build failure
+      tally_bytes += MatTallyBytes(n_rows, group.artifact->index.num_groups());
+    }
+    for (const CandidateSpec& spec : specs) {
+      const GroupReq& group = groups[spec.group];
+      if (spec.mat >= 0 && group.artifact != nullptr) {
+        per_group_bytes += group.artifact->index.num_groups() * sizeof(double);
+      } else if (spec.mat_hit != nullptr) {
+        per_group_bytes += spec.mat_hit->present.size() * sizeof(double);
+      }
+    }
+    FEAT_RETURN_NOT_OK(ctx->ChargeMemory(tally_bytes + per_group_bytes));
+  }
+
+  // ---- Stage C setup, on this thread: resolve each bucket's inputs, fire
+  // its fault site, prove empty selections, and cut the rest into row
+  // chunks whose tallies are allocated here. ----
+  std::vector<std::pair<size_t, size_t>> c_tasks;  // (MatReq, chunk)
+  for (size_t mi : c_mats) {
+    MatReq& req = mats[mi];
     const GroupReq& group = groups[req.group];
     if (group.artifact == nullptr) {
       req.error = inherit(group.error, "group index");
-      return;
+      continue;
     }
     const MaskReq* single =
         req.mask_single >= 0 ? &masks[static_cast<size_t>(req.mask_single)]
@@ -676,46 +761,82 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
                             : nullptr;
     if (single != nullptr && single->bits == nullptr) {
       req.error = inherit(single->error, "mask");
-      return;
+      continue;
     }
     if (combo != nullptr && combo->bits == nullptr) {
       req.error = inherit(combo->error, "conjunction");
-      return;
+      continue;
     }
     const ViewReq& view = views[req.view];
     if (view.view == nullptr) {
       req.error = inherit(view.error, "value view");
-      return;
+      continue;
     }
-    const Bitset* mask = single != nullptr ? single->bits
-                         : combo != nullptr ? combo->bits
-                                            : nullptr;
+    req.index = &group.artifact->index;
+    req.mask = single != nullptr ? single->bits
+               : combo != nullptr ? combo->bits
+                                  : nullptr;
+    req.view_data = view.view->data();
     // Empty-selection early-out: a conjunction built this batch proved its
     // selectivity for free (fused AndWithCount); other masks pay one
     // popcount scan — far cheaper than streaming every row through the
     // builder. An empty bucket is constructed directly; the result is
     // byte-identical to what the builder returns for an all-zero mask.
-    if (mask != nullptr) {
+    if (req.mask != nullptr) {
       req.empty_selection = combo != nullptr && combo->count_valid
                                 ? combo->count == 0
-                                : mask->Count() == 0;
+                                : req.mask->Count() == 0;
     }
-    req.error = GuardedBuild("prepare.mat", [&]() -> Status {
+    req.error = CatchBuild([&]() -> Status {
+      FEAT_RETURN_NOT_OK(FaultPoint("prepare.mat"));
+      const size_t n_groups = req.index->num_groups();
       if (req.empty_selection) {
-        const size_t n_groups = group.artifact->index.num_groups();
         MaterializedValues empty;
         empty.present.assign(n_groups, 0);
         empty.offsets.assign(n_groups + 1, 0);
         req.built.emplace(std::move(empty));
         return Status::OK();
       }
-      req.built.emplace(ops_->build_materialized(
-          group.artifact->index, mask, view.view->data()));
+      const size_t chunk_rows = MatChunkRows(n_rows, n_groups);
+      for (size_t begin = 0; begin < n_rows; begin += chunk_rows) {
+        req.chunks.emplace_back(begin, std::min(n_rows, begin + chunk_rows),
+                                n_groups);
+      }
       return Status::OK();
     });
+    if (!req.error.ok()) continue;
+    for (size_t c = 0; c < req.chunks.size(); ++c) c_tasks.emplace_back(mi, c);
+  }
+  plan_stats_.mat_build_tasks = c_tasks.size();
+
+  // ---- Stage C: tally every (bucket, chunk) in parallel; lay each bucket
+  // out and allocate its flat array on this thread; fill every chunk in
+  // parallel through its cursors; publish in request order. ----
+  auto run_tally = [&](size_t t) {
+    MatReq& req = mats[c_tasks[t].first];
+    ops_->tally_materialized(*req.index, req.mask, req.view_data,
+                             &req.chunks[c_tasks[t].second]);
+  };
+  auto layout_tallies = [&]() {
+    for (size_t mi : c_mats) {
+      MatReq& req = mats[mi];
+      if (!req.error.ok() || req.empty_selection) continue;
+      req.error = CatchBuild([&]() -> Status {
+        MaterializedValues m;
+        LayoutMaterialized(req.chunks, req.index->num_groups(), &m);
+        req.built.emplace(std::move(m));
+        return Status::OK();
+      });
+    }
+  };
+  auto run_fill = [&](size_t t) {
+    MatReq& req = mats[c_tasks[t].first];
+    if (!req.error.ok()) return;  // its layout failed
+    ops_->fill_materialized(*req.index, req.mask, req.view_data,
+                            &req.chunks[c_tasks[t].second],
+                            req.built->flat.data());
   };
   auto publish_stage_c = [&]() {
-    if (!stage_error.ok()) return;
     for (size_t mi : c_mats) {
       MatReq& req = mats[mi];
       if (!req.error.ok()) {
@@ -725,26 +846,8 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
       req.values = store_.PublishMaterialized(req.key, std::move(*req.built));
     }
   };
-
-  const std::vector<ThreadPool::Stage> stages = {
-      {n_a, run_stage_a, publish_stage_a},
-      {n_b, run_stage_b, publish_stage_b},
-      {n_c, run_stage_c, publish_stage_c},
-  };
-  if (pool_ != nullptr) {
-    // A tripped context returns here *before* the failed stage's publish:
-    // the store keeps only fully-published artifacts of completed stages.
-    FEAT_RETURN_NOT_OK(pool_->ParallelForStages(stages, ctx));
-  } else {
-    for (const ThreadPool::Stage& stage : stages) {
-      for (size_t t = 0; t < stage.n; ++t) {
-        FEAT_RETURN_NOT_OK(ExecContext::CheckFor(ctx));
-        stage.run(t);
-      }
-      FEAT_RETURN_NOT_OK(ExecContext::CheckFor(ctx));
-      if (stage.publish) stage.publish();
-    }
-  }
+  FEAT_RETURN_NOT_OK(run_stages({{c_tasks.size(), run_tally, layout_tallies},
+                                 {c_tasks.size(), run_fill, publish_stage_c}}));
   for (const MatReq& r : mats) {
     if (r.empty_selection) ++plan_stats_.empty_selections;
   }
@@ -754,11 +857,11 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
   // hash-map-backed group indexes and the packed bitsets with the published
   // artifacts' actual SizeBytes() — charge the shortfall (group key maps are
   // invisible to the row-count estimate), release the surplus (packed masks
-  // are 8x smaller than the byte-per-row guess). Views, training-row maps
-  // and materializations are flat arrays already estimated exactly. ----
+  // are 8x smaller than the byte-per-row guess) and the chunk tallies.
+  // Views, training-row maps and materializations are flat arrays already
+  // estimated exactly. ----
   if (ctx != nullptr) {
-    const size_t n_rows = relevant.num_rows();
-    size_t estimated = 0;
+    size_t estimated = tally_bytes;
     size_t actual = 0;
     for (size_t gi : a_groups) {
       if (groups[gi].artifact == nullptr) continue;  // isolated build failure
@@ -876,17 +979,71 @@ Result<std::vector<std::vector<double>>> QueryPlanner::Evaluate(
         Prepare(queries, &training, relevant, ctx, slot_errors));
     prepare_seconds_ = timer.Seconds();
 
-    // ---- Fan-out phase: independent pure kernels into pre-sized slots, so
-    // results are deterministic and thread- and chunk-count-independent. ----
+    // ---- Fan-out phase: the per-group kernels as items on the pool. A
+    // streaming candidate is one item; a materialized one is a run of
+    // consecutive group ranges writing disjoint parts of a per-group buffer
+    // sized here. The item that finishes a candidate's last range runs its
+    // `exec.kernel` site and scatter through the training-row map — in
+    // candidate order on a 1-thread pool — and frees the candidate's
+    // per-group buffer, so streaming buffers do not pile up across a large
+    // batch. Every group's value is the same function over the same slice
+    // whichever thread runs it, so results are byte-identical at every
+    // thread count. ----
     timer.Restart();
+    struct KernelItem {
+      size_t candidate;
+      size_t g_begin;
+      size_t g_end;
+    };
+    std::vector<KernelItem> items;
+    std::vector<std::vector<double>> per_group(queries.size());
+    std::vector<std::atomic<size_t>> items_left(queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const PlannedCandidate& p = planned[i];
+      if (p.query == nullptr) continue;  // isolated failure
+      const size_t first = items.size();
+      if (p.mat == nullptr) {
+        items.push_back({i, 0, 0});
+      } else {
+        const size_t n_groups = p.mat->present.size();
+        per_group[i].resize(n_groups);
+        size_t begin = 0;
+        size_t weight = 0;
+        for (size_t g = 0; g < n_groups; ++g) {
+          weight += p.mat->offsets[g + 1] - p.mat->offsets[g] + 1;
+          if (weight >= kKernelRangeValues) {
+            items.push_back({i, begin, g + 1});
+            begin = g + 1;
+            weight = 0;
+          }
+        }
+        if (begin < n_groups || begin == 0) {
+          items.push_back({i, begin, n_groups});
+        }
+      }
+      items_left[i].store(items.size() - first, std::memory_order_relaxed);
+    }
+    plan_stats_.kernel_tasks = items.size();
     out.resize(queries.size());
-    FEAT_RETURN_NOT_OK(FanOut(
-        queries.size(), pool_, ctx, slot_errors, [&](size_t i) -> Status {
-          FEAT_RETURN_NOT_OK(FaultPoint("exec.kernel"));
-          out[i] = ScatterPerGroup(AggregatePlanned(*ops_, planned[i]),
-                                   *planned[i].train_map);
-          return Status::OK();
-        }));
+    std::vector<Status> errors(queries.size());
+    FEAT_RETURN_NOT_OK(RunTasks(items.size(), pool_, 1, ctx, [&](size_t t) {
+      const KernelItem& item = items[t];
+      const size_t i = item.candidate;
+      const PlannedCandidate& p = planned[i];
+      if (p.mat != nullptr) {
+        ops_->aggregate_from_materialized(p.query->agg, *p.mat, item.g_begin,
+                                          item.g_end, per_group[i].data());
+      } else {
+        per_group[i] = ops_->aggregate_streaming(p.query->agg, *p.index,
+                                                 p.mask, p.view, nullptr);
+      }
+      // acq_rel: the last range sees every sibling range's writes.
+      if (items_left[i].fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+      errors[i] = FaultPoint("exec.kernel");
+      if (errors[i].ok()) out[i] = ScatterPerGroup(per_group[i], *p.train_map);
+      std::vector<double>().swap(per_group[i]);
+    }));
+    FEAT_RETURN_NOT_OK(MergeSlotErrors(errors, slot_errors));
   }
   aggregate_seconds_ = timer.Seconds();
   return out;
@@ -988,17 +1145,22 @@ Result<std::vector<std::vector<double>>> ExecuteServingPlan(
   }
 
   // Scatter fan-out: disjoint output slots, deterministic at every thread
-  // count (the per-group values are frozen and shared read-only).
+  // count (the per-group values are frozen and shared read-only). A slot
+  // that already failed, or a failed isolated compile (no group space),
+  // keeps its error.
   std::vector<std::vector<double>> out(n);
-  FEAT_RETURN_NOT_OK(FanOut(n, pool, ctx, slot_errors, [&](size_t i) -> Status {
+  std::vector<Status> errors(n);
+  FEAT_RETURN_NOT_OK(RunTasks(n, pool, 0, ctx, [&](size_t i) {
+    if (slot_errors != nullptr && !(*slot_errors)[i].ok()) return;
     const size_t gi = plan.candidate_group[i];
-    // A failed isolated compile has no group space; its slot keeps its error.
-    if (gi == MorselResult::kNoGroupSpec) return Status::OK();
-    FEAT_RETURN_NOT_OK(map_errors[gi]);
-    FEAT_RETURN_NOT_OK(FaultPoint("exec.kernel"));
-    out[i] = ScatterPerGroup(plan.per_group_features[i], train_maps[gi]);
-    return Status::OK();
+    if (gi == MorselResult::kNoGroupSpec) return;
+    errors[i] = map_errors[gi];
+    if (errors[i].ok()) errors[i] = FaultPoint("exec.kernel");
+    if (errors[i].ok()) {
+      out[i] = ScatterPerGroup(plan.per_group_features[i], train_maps[gi]);
+    }
   }));
+  FEAT_RETURN_NOT_OK(MergeSlotErrors(errors, slot_errors));
   return out;
 }
 

@@ -36,15 +36,21 @@
 ///     side* on the ThreadPool, independent artifacts of a stage in
 ///     parallel, stages in topological order; after each stage the finished
 ///     values are published into the store sequentially on the calling
-///     thread (ThreadPool::ParallelForStages). Publish order is request
-///     order, so the store's contents — and every downstream byte — are
-///     identical at every thread and chunk count.
+///     thread (ThreadPool::ParallelForStages). Bucket materializations
+///     (stage C) split further into row chunks of about 32k rows: every
+///     (bucket, chunk) tallies its rows in parallel, the calling thread
+///     lays each bucket out and allocates its flat array, and every chunk
+///     fills its part in parallel. Publish order is request order, so the
+///     store's contents — and every downstream byte — are identical at
+///     every thread and chunk count.
 ///
 ///  3. **Fan-out (parallel)** — each candidate's per-group aggregate (the
 ///     backend's kernels, query/kernels.h) then ScatterPerGroup through the
 ///     training-row map: pure functions over published const artifacts
-///     writing pre-sized output slots, run on the pool with chunk-claimed
-///     scheduling.
+///     writing pre-sized output slots. The aggregates run as items on the
+///     pool — a streaming candidate is one item, a materialized candidate
+///     one item per group range of about 8k flat values — so one slow
+///     candidate no longer holds up a small pool.
 ///
 /// EvaluateMany, EvaluateManyIsolated and ComputeFeatureColumn are thin
 /// shells over one evaluate body; they differ only in the failure contract
@@ -268,6 +274,13 @@ class QueryPlanner {
     /// had no set bits (the fused conjunction popcount — or a cached mask's
     /// count — proved the bucket empty before any build ran).
     size_t empty_selections = 0;
+    /// Stage-C build tasks: the (bucket, row chunk) pairs tallied and
+    /// filled. A bucket over a table of one chunk (about 32k rows) is one
+    /// task; an empty-selection bucket is none.
+    size_t mat_build_tasks = 0;
+    /// Fan-out kernel items: one per streaming candidate, one per group
+    /// range (about 8k flat values) of a materialized candidate.
+    size_t kernel_tasks = 0;
     /// Morsels processed when the batch ran the out-of-core pipeline (0 on
     /// the in-RAM path; see last_morsel_stats() for the full breakdown).
     size_t morsels = 0;

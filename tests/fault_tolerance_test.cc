@@ -6,20 +6,23 @@
 /// store is byte-identical to a fresh one).
 ///
 /// Targeted armings count per-site calls, which are deterministic only when
-/// builds run serially — every planner here stays on the default (serial)
-/// execution path; the thread-pool interaction is covered by
+/// builds run serially — the planners here stay on the default (serial)
+/// execution path, except where a site fires on the coordinator thread
+/// whatever the pool; the rest of the thread-pool interaction is covered by
 /// exec_context_test.cc.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "common/exec_context.h"
 #include "common/fault_injection.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/augmenter.h"
 #include "core/feature_eval.h"
 #include "core/search_session.h"
@@ -198,6 +201,39 @@ TEST_F(FaultToleranceTest, KernelFaultIsolatesOneCandidate) {
     ASSERT_TRUE(r.value()[i].status.ok()) << r.value()[i].status.ToString();
     ExpectColumnsBitIdentical(r.value()[i].values, expected[i],
                               "kernel survivor " + std::to_string(i));
+  }
+}
+
+TEST_F(FaultToleranceTest, ThrowingBucketBuildIsolatesItsCandidates) {
+  // The bucket's coordinator-side build step (fault site, chunk tallies,
+  // flat array) throws; the throw becomes that bucket's Status, as a pool
+  // task's would, with or without a pool. Candidates 0 and 1 share the
+  // only materialized bucket.
+  const Pair tables = MakePair();
+  const std::vector<AggQuery> queries = CanonicalQueries();
+  const std::vector<std::vector<double>> expected = Reference(tables, queries);
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "serial" : "pool");
+    FaultInjector::Global().Reset();
+    FaultInjector::Global().ArmHook("prepare.mat", 0,
+                                    [] { throw std::bad_alloc(); });
+    QueryPlanner planner;
+    planner.set_thread_pool(p);
+    auto r = planner.EvaluateManyIsolated(queries, tables.training,
+                                          tables.relevant);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    for (size_t i = 0; i < queries.size(); ++i) {
+      if (i < 2) {
+        EXPECT_EQ(r.value()[i].status.code(), StatusCode::kInternal);
+        EXPECT_NE(r.value()[i].status.message().find("build threw"),
+                  std::string::npos);
+        continue;
+      }
+      ASSERT_TRUE(r.value()[i].status.ok()) << r.value()[i].status.ToString();
+      ExpectColumnsBitIdentical(r.value()[i].values, expected[i],
+                                "throw survivor " + std::to_string(i));
+    }
   }
 }
 

@@ -1,7 +1,9 @@
 /// \file kernel_dispatch_test.cc
 /// \brief Pins the kernel-backend contract (query/kernel_dispatch.h): the
 /// simd table is byte-identical to the scalar oracle across every aggregate
-/// kind, mask density, and slice alignment; backend selection resolves
+/// kind, mask density, and slice alignment; a bucket built in row chunks
+/// and aggregated in group ranges equals the one-pass build and the
+/// whole-bucket aggregate; backend selection resolves
 /// planner-override > environment > config > detection; and the fused
 /// Bitset AND+popcount drives the planner's empty-selection short-circuit.
 
@@ -100,6 +102,14 @@ RandomPair MakePair(Rng* rng, size_t n_rel) {
   return out;
 }
 
+// Slice aggregation of a whole bucket: the group range [0, G).
+std::vector<double> AggregateAll(const KernelOps& ops, AggFunction fn,
+                                 const MaterializedValues& m) {
+  std::vector<double> out(m.present.size());
+  ops.aggregate_from_materialized(fn, m, 0, out.size(), out.data());
+  return out;
+}
+
 // Bernoulli mask of the given density (nullopt = no mask / all rows).
 std::optional<Bitset> MakeMask(Rng* rng, size_t n, double density) {
   Bitset bits(n);
@@ -139,9 +149,9 @@ void ExpectStreamingAndMaterializedParity(const Table& relevant, Rng* rng,
     // Bucket materialization must match byte for byte: slice lengths vary
     // per group, so flat offsets land on every alignment.
     const MaterializedValues m_scalar =
-        scalar.build_materialized(index, mask_ptr, view.data());
+        BuildMaterializedValues(scalar, index, mask_ptr, view.data());
     const MaterializedValues m_simd =
-        simd.build_materialized(index, mask_ptr, view.data());
+        BuildMaterializedValues(simd, index, mask_ptr, view.data());
     ASSERT_EQ(m_scalar.present, m_simd.present) << ctx;
     ASSERT_EQ(m_scalar.offsets, m_simd.offsets) << ctx;
     ExpectBitIdentical(
@@ -158,8 +168,8 @@ void ExpectStreamingAndMaterializedParity(const Table& relevant, Rng* rng,
                                      &first_scalar),
           "streaming " + fctx);
       ASSERT_EQ(first_scalar, first_simd) << fctx;
-      ExpectBitIdentical(simd.aggregate_from_materialized(fn, m_scalar),
-                         scalar.aggregate_from_materialized(fn, m_scalar),
+      ExpectBitIdentical(AggregateAll(simd, fn, m_scalar),
+                         AggregateAll(scalar, fn, m_scalar),
                          "materialized " + fctx);
     }
 
@@ -211,6 +221,112 @@ TEST(KernelDispatchTest, StreamingAndMaterializedParityAcrossDensities) {
   ExpectStreamingAndMaterializedParity(clustered, &rng, "clustered");
 }
 
+// ---- Row-chunk builds and group-range aggregation ---------------------------
+
+// The bucket build as the planner runs it: chunks of `chunk_rows` rows,
+// tallied and filled in reverse chunk order (chunks are independent; only
+// the serial layout between the passes orders them).
+MaterializedValues BuildChunked(const KernelOps& ops, const GroupIndex& index,
+                                const Bitset* mask, const double* view,
+                                size_t chunk_rows) {
+  const size_t n = index.num_rows();
+  std::vector<MaterializeChunk> chunks;
+  for (size_t b = 0; b < n; b += chunk_rows) {
+    chunks.emplace_back(b, std::min(n, b + chunk_rows), index.num_groups());
+  }
+  for (size_t c = chunks.size(); c-- > 0;) {
+    ops.tally_materialized(index, mask, view, &chunks[c]);
+  }
+  MaterializedValues m;
+  LayoutMaterialized(chunks, index.num_groups(), &m);
+  for (size_t c = chunks.size(); c-- > 0;) {
+    ops.fill_materialized(index, mask, view, &chunks[c], m.flat.data());
+  }
+  return m;
+}
+
+void ExpectSameBucket(const MaterializedValues& actual,
+                      const MaterializedValues& expected,
+                      const std::string& context) {
+  ASSERT_EQ(actual.present, expected.present) << context;
+  ASSERT_EQ(actual.offsets, expected.offsets) << context;
+  ExpectBitIdentical(
+      std::vector<double>(actual.flat.begin(), actual.flat.end()),
+      std::vector<double>(expected.flat.begin(), expected.flat.end()),
+      context);
+}
+
+// Chunk edges anywhere (inside a mask word, on one, past the table) must
+// not change a byte of the bucket: each group's values stay in ascending
+// row order with chunks concatenated in order. Then any cut of [0, G) into
+// group ranges aggregates to the whole-bucket result.
+void ExpectChunkAndRangeSplitsInvariant(const Table& relevant, Rng* rng,
+                                        const std::string& layout) {
+  auto index_or = GroupIndex::Build(relevant, {"uid", "city"});
+  ASSERT_TRUE(index_or.ok());
+  const GroupIndex& index = index_or.value();
+  const size_t n = relevant.num_rows();
+  std::vector<double> view(n);
+  auto col = relevant.GetColumn("value");
+  ASSERT_TRUE(col.ok());
+  for (size_t r = 0; r < n; ++r) view[r] = col.value()->AsDouble(r);
+
+  const double densities[] = {-1.0, 0.0, 0.05, 0.7, 1.0};  // -1 = no mask
+  for (double density : densities) {
+    std::optional<Bitset> mask;
+    if (density >= 0.0) mask = MakeMask(rng, n, density);
+    const Bitset* mask_ptr = mask ? &*mask : nullptr;
+    const MaterializedValues oracle = BuildMaterializedValues(
+        ScalarKernelOps(), index, mask_ptr, view.data());
+    for (const KernelOps* ops : {&ScalarKernelOps(), &SimdKernelOps()}) {
+      const std::string ctx = layout + " density=" + std::to_string(density) +
+                              " backend=" + KernelBackendName(ops->backend);
+      for (size_t chunk_rows : {size_t{1}, size_t{63}, size_t{64},
+                                size_t{65}, size_t{1000}, n}) {
+        ExpectSameBucket(
+            BuildChunked(*ops, index, mask_ptr, view.data(), chunk_rows),
+            oracle, ctx + " chunk_rows=" + std::to_string(chunk_rows));
+      }
+
+      const size_t n_groups = oracle.present.size();
+      for (AggFunction fn : AllAggFunctions()) {
+        const std::vector<double> whole = AggregateAll(*ops, fn, oracle);
+        std::vector<double> split(n_groups);
+        size_t g = 0;
+        while (g < n_groups) {
+          const size_t end =
+              std::min(n_groups, g + rng->UniformInt(n_groups / 3 + 2));
+          ops->aggregate_from_materialized(fn, oracle, g, end, split.data());
+          g = end;  // an empty range (end == g) writes nothing
+        }
+        ExpectBitIdentical(split, whole,
+                           ctx + " ranges fn=" + AggFunctionName(fn));
+      }
+    }
+  }
+}
+
+TEST(KernelDispatchTest, ChunkedBuildAndGroupRangesMatchWholeBucket) {
+  Rng rng(20261019);
+  // Random keys: consecutive rows in different groups (per-row spans).
+  RandomPair pair = MakePair(&rng, 2011);
+  ExpectChunkAndRangeSplitsInvariant(pair.relevant, &rng, "random");
+
+  // Group-sorted rows: the simd table's segment-decoded path, with chunk
+  // edges cutting segments.
+  RandomPair log = MakePair(&rng, 2011);
+  auto index_or = GroupIndex::Build(log.relevant, {"uid", "city"});
+  ASSERT_TRUE(index_or.ok());
+  const std::vector<uint32_t>& groups = index_or.value().row_groups();
+  std::vector<uint32_t> order(groups.size());
+  for (uint32_t r = 0; r < order.size(); ++r) order[r] = r;
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return groups[a] < groups[b];
+  });
+  ExpectChunkAndRangeSplitsInvariant(log.relevant.Take(order), &rng,
+                                     "clustered");
+}
+
 // Slice MIN/MAX at deliberately unaligned offsets and signed-zero ties: the
 // vector reduction must reproduce min_element/max_element's
 // first-among-equals result bit for bit (including the sign of zero).
@@ -231,8 +347,7 @@ TEST(KernelDispatchTest, SliceMinMaxUnalignedAndSignedZero) {
       }
       for (AggFunction fn : {AggFunction::kMin, AggFunction::kMax}) {
         ExpectBitIdentical(
-            simd.aggregate_from_materialized(fn, m),
-            scalar.aggregate_from_materialized(fn, m),
+            AggregateAll(simd, fn, m), AggregateAll(scalar, fn, m),
             "offset=" + std::to_string(offset) + " len=" +
                 std::to_string(len) + " fn=" + AggFunctionName(fn));
       }

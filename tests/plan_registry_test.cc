@@ -25,7 +25,7 @@ namespace {
 
 using serve_test::ExpectTablesBitIdentical;
 using serve_test::MakeBatch;
-using serve_test::MakeTempDir;
+using serve_test::TempDir;
 using serve_test::WritePlanPair;
 
 // One plan's warm byte estimate for the shared fixture (all plans in these
@@ -41,7 +41,8 @@ size_t FixtureWarmBytes(const std::string& dir) {
 }
 
 TEST(PlanRegistryTest, LazyLoadListAndHit) {
-  const std::string dir = MakeTempDir("feataug_reg_");
+  const TempDir tmp("feataug_reg_");
+  const std::string& dir = tmp.path();
   WritePlanPair(dir, "alpha");
   WritePlanPair(dir, "beta");
 
@@ -77,7 +78,8 @@ TEST(PlanRegistryTest, LazyLoadListAndHit) {
 }
 
 TEST(PlanRegistryTest, EvictsLeastRecentlyAcquiredUnderByteCap) {
-  const std::string dir = MakeTempDir("feataug_reg_");
+  const TempDir tmp("feataug_reg_");
+  const std::string& dir = tmp.path();
   WritePlanPair(dir, "a");
   WritePlanPair(dir, "b");
   WritePlanPair(dir, "c");
@@ -108,7 +110,8 @@ TEST(PlanRegistryTest, EvictsLeastRecentlyAcquiredUnderByteCap) {
 }
 
 TEST(PlanRegistryTest, PinnedHandleSurvivesEviction) {
-  const std::string dir = MakeTempDir("feataug_reg_");
+  const TempDir tmp("feataug_reg_");
+  const std::string& dir = tmp.path();
   const Table relevant = WritePlanPair(dir, "a");
   WritePlanPair(dir, "b");
   const size_t w = FixtureWarmBytes(dir);
@@ -135,7 +138,8 @@ TEST(PlanRegistryTest, PinnedHandleSurvivesEviction) {
 }
 
 TEST(PlanRegistryTest, FailedLoadIsNotSticky) {
-  const std::string dir = MakeTempDir("feataug_reg_");
+  const TempDir tmp("feataug_reg_");
+  const std::string& dir = tmp.path();
   const Table relevant = WritePlanPair(dir, "real");
 
   PlanRegistry registry;
@@ -158,7 +162,8 @@ TEST(PlanRegistryTest, FailedLoadIsNotSticky) {
 }
 
 TEST(PlanRegistryTest, UnreadableRelevantTableIsIOErrorAndRetried) {
-  const std::string dir = MakeTempDir("feataug_reg_");
+  const TempDir tmp("feataug_reg_");
+  const std::string& dir = tmp.path();
   const Table relevant = WritePlanPair(dir, "real");
   const std::string relevant_path = dir + "/late.relevant.csv";
   ASSERT_EQ(::mkdir(relevant_path.c_str(), 0700), 0);
@@ -181,7 +186,8 @@ TEST(PlanRegistryTest, UnreadableRelevantTableIsIOErrorAndRetried) {
 }
 
 TEST(PlanRegistryTest, ConcurrentFirstAcquiresLoadOnce) {
-  const std::string dir = MakeTempDir("feataug_reg_");
+  const TempDir tmp("feataug_reg_");
+  const std::string& dir = tmp.path();
   WritePlanPair(dir, "shared");
 
   PlanRegistry registry;
@@ -210,7 +216,8 @@ TEST(PlanRegistryTest, ConcurrentFirstAcquiresLoadOnce) {
 // small enough to force continuous eviction/reload churn. Every result
 // must stay byte-identical to the per-plan reference.
 TEST(PlanRegistryTest, ConcurrentLoadEvictTransformStaysByteIdentical) {
-  const std::string dir = MakeTempDir("feataug_reg_");
+  const TempDir tmp("feataug_reg_");
+  const std::string& dir = tmp.path();
   const std::vector<std::string> names = {"p0", "p1", "p2"};
   Table relevant;
   for (const std::string& name : names) relevant = WritePlanPair(dir, name);

@@ -2,9 +2,10 @@
 /// \brief Pins the planner layer of the planner / store / kernel split:
 /// artifact-DAG deduplication and topology (via PlanStats), publish-once
 /// semantics under parallel prepare, determinism of parallel prepare across
-/// thread counts, eviction pinning, error propagation from staged builds,
-/// morsel stats that follow the last evaluation, and a serving plan
-/// outliving the planner that compiled it.
+/// thread counts, one candidate's work split into build chunks and group
+/// ranges without changing a byte, eviction pinning, error propagation from
+/// staged builds, morsel stats that follow the last evaluation, and a
+/// serving plan outliving the planner that compiled it.
 
 #include <gtest/gtest.h>
 
@@ -106,6 +107,11 @@ TEST(QueryPlannerTest, PlanDeduplicatesSharedArtifacts) {
   // after group+mask+view: all three dependency stages must have run.
   EXPECT_EQ(stats.stages_run, 3u);
   EXPECT_EQ(stats.builds_run, 1u + 1u + 2u + 1u + 1u + 3u);
+  // A 160-row table is one build chunk and every bucket holds far fewer
+  // than 8k values: one build task per bucket, one kernel item per
+  // candidate.
+  EXPECT_EQ(stats.mat_build_tasks, 3u);
+  EXPECT_EQ(stats.kernel_tasks, 6u);
 
   // Store counters agree: exactly one build per unique artifact.
   EXPECT_EQ(planner.store().num_group_builds(), 1u);
@@ -206,6 +212,8 @@ TEST(QueryPlannerTest, ParallelPrepareBuildsEachArtifactExactlyOnce) {
   EXPECT_EQ(planner.store().num_view_builds(), 1u);
   EXPECT_EQ(planner.store().num_materializations(), 1u);
   EXPECT_EQ(planner.store().num_train_map_builds(), 1u);
+  EXPECT_EQ(planner.last_plan_stats().mat_build_tasks, 1u);
+  EXPECT_EQ(planner.last_plan_stats().kernel_tasks, queries.size());
 }
 
 // --- Determinism of parallel prepare across thread counts --------------------
@@ -469,6 +477,98 @@ TEST(QueryPlannerTest, InRamEvaluationZeroesMorselStats) {
                   .ok());
   EXPECT_EQ(planner.last_morsel_stats().morsels, 0u);
   EXPECT_EQ(planner.last_morsel_stats().sweeps, 0u);
+}
+
+// --- Splitting one candidate's work across the pool -------------------------
+
+// A relevant table of several 32k-row build chunks and far more than 8k
+// values per bucket: 70001 rows (a partial tail word) over 40 keys, with
+// nulls and signed zeros in the values.
+Pair MakeMultiChunkPair() {
+  Pair out;
+  Rng rng(23);
+  const char* depts[] = {"a", "b", "c"};
+  Column k(DataType::kInt64), v(DataType::kDouble), level(DataType::kInt64),
+      dept(DataType::kString);
+  for (int i = 0; i < 70001; ++i) {
+    k.AppendInt(static_cast<int64_t>(rng.UniformInt(40)));
+    if (rng.Bernoulli(0.2)) {
+      v.AppendNull();
+    } else if (rng.Bernoulli(0.05)) {
+      v.AppendDouble(rng.Bernoulli(0.5) ? 0.0 : -0.0);
+    } else {
+      v.AppendDouble(std::round(rng.Normal(0, 5) * 4) / 4);
+    }
+    level.AppendInt(static_cast<int64_t>(rng.UniformInt(4)));
+    dept.AppendString(depts[rng.UniformInt(3)]);
+  }
+  EXPECT_TRUE(out.relevant.AddColumn("k", std::move(k)).ok());
+  EXPECT_TRUE(out.relevant.AddColumn("v", std::move(v)).ok());
+  EXPECT_TRUE(out.relevant.AddColumn("level", std::move(level)).ok());
+  EXPECT_TRUE(out.relevant.AddColumn("dept", std::move(dept)).ok());
+  Column dk(DataType::kInt64);
+  for (int i = 0; i < 50; ++i) dk.AppendInt(i % 45);
+  EXPECT_TRUE(out.training.AddColumn("k", std::move(dk)).ok());
+  return out;
+}
+
+// A lone MEDIAN (one materialized candidate) and a mixed pool of eight (a
+// shared bucket of six, two streaming singletons) over a multi-chunk table:
+// the bucket builds run as several chunk tasks, the materialized candidates
+// as several group-range items, and the columns are byte-identical at every
+// thread count — equal to the 1-thread run and to the morsel pipeline,
+// which splits nothing.
+TEST(QueryPlannerTest, SplitCandidatesAreByteIdenticalAcrossThreadCounts) {
+  const Pair tables = MakeMultiChunkPair();
+  const Predicate pa = Predicate::Equals("dept", Value::Str("a"));
+  const Predicate pb = Predicate::Range("level", 1.0, 3.0);
+  const std::vector<AggQuery> lone = {MakeQuery(AggFunction::kMedian, {})};
+  const std::vector<AggQuery> mixed = {
+      MakeQuery(AggFunction::kMedian, {pa}),
+      MakeQuery(AggFunction::kCountDistinct, {pa}),
+      MakeQuery(AggFunction::kMode, {pa}),
+      MakeQuery(AggFunction::kEntropy, {pa}),
+      MakeQuery(AggFunction::kMin, {pa}),
+      MakeQuery(AggFunction::kKurtosis, {pa}),
+      MakeQuery(AggFunction::kSum, {pb}),
+      MakeQuery(AggFunction::kVarSample, {pa, pb}),
+  };
+  for (const std::vector<AggQuery>* queries : {&lone, &mixed}) {
+    const size_t n_mat = queries == &lone ? 1 : 6;
+    QueryPlanner morsel;
+    morsel.set_morsel_rows(size_t{1} << 20);
+    auto oracle =
+        morsel.EvaluateMany(*queries, tables.training, tables.relevant);
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+
+    std::optional<std::vector<std::vector<double>>> one_thread;
+    for (const int threads : {1, 2, 4, 8}) {
+      const std::string ctx = std::to_string(queries->size()) +
+                              " candidates, " + std::to_string(threads) +
+                              " threads";
+      ThreadPool pool(threads);
+      QueryPlanner planner;
+      planner.set_thread_pool(&pool);
+      auto result =
+          planner.EvaluateMany(*queries, tables.training, tables.relevant);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const QueryPlanner::PlanStats& stats = planner.last_plan_stats();
+      EXPECT_EQ(stats.mat_requests, 1u) << ctx;
+      // 70001 rows over 40 groups build in three chunks; the buckets hold
+      // about 56k (lone) and 19k (mixed) values, so every materialized
+      // candidate splits into several group ranges.
+      EXPECT_EQ(stats.mat_build_tasks, 3u) << ctx;
+      EXPECT_GE(stats.kernel_tasks, 2 * n_mat + queries->size() - n_mat)
+          << ctx;
+      if (!one_thread) one_thread = result.value();
+      for (size_t i = 0; i < queries->size(); ++i) {
+        ExpectColumnsBitIdentical(result.value()[i], (*one_thread)[i],
+                                  ctx + ", q" + std::to_string(i));
+        ExpectColumnsBitIdentical(result.value()[i], oracle.value()[i],
+                                  ctx + " vs morsel, q" + std::to_string(i));
+      }
+    }
+  }
 }
 
 // --- Error propagation from staged builds ------------------------------------

@@ -37,10 +37,13 @@ namespace serve {
 namespace {
 
 using serve_test::MakeBatch;
-using serve_test::MakeTempDir;
+using serve_test::TempDir;
 using serve_test::WritePlanPair;
 
 struct DaemonFixture {
+  explicit DaemonFixture(const std::string& prefix)
+      : tmp(prefix), dir(tmp.path()) {}
+  TempDir tmp;  // removed last, after the server has shut down
   std::string dir;
   std::unique_ptr<PlanRegistry> registry;
   std::unique_ptr<Server> server;
@@ -51,8 +54,7 @@ struct DaemonFixture {
 };
 
 DaemonFixture StartDaemon(const std::string& prefix, ServerOptions options) {
-  DaemonFixture f;
-  f.dir = MakeTempDir(prefix);
+  DaemonFixture f(prefix);
   EXPECT_FALSE(f.dir.empty());
   const Table relevant = WritePlanPair(f.dir, "demo");
 

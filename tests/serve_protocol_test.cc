@@ -30,7 +30,7 @@ namespace {
 
 using serve_test::ExpectTablesBitIdentical;
 using serve_test::MakeBatch;
-using serve_test::MakeTempDir;
+using serve_test::TempDir;
 using serve_test::WritePlanPair;
 
 std::string SmallRequestFrame() {
@@ -304,7 +304,8 @@ std::string SendRawAndDrain(const std::string& socket_path,
 }
 
 TEST(ServeProtocolTest, DaemonSurvivesGarbageAndKeepsServing) {
-  const std::string dir = MakeTempDir("feataug_proto_");
+  const TempDir tmp("feataug_proto_");
+  const std::string& dir = tmp.path();
   ASSERT_FALSE(dir.empty());
   WritePlanPair(dir, "demo");
 

@@ -3,7 +3,8 @@
 /// \file serve_test_util.h
 /// \brief Shared fixture for the serving-daemon tests: a deterministic
 /// relevant/query pair, batch makers, the on-disk `<name>.sql` +
-/// `<name>.relevant.csv` artifact pair feataug_serve discovers, and a
+/// `<name>.relevant.csv` artifact pair feataug_serve discovers in a
+/// self-removing temp directory, and a
 /// byte-identity check routed through the wire codec itself (the codec
 /// canonicalizes null placeholders, so equal tables encode to equal
 /// bytes — and byte-equal encodings are exactly the serving contract).
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -120,14 +122,36 @@ inline std::shared_ptr<const FittedAugmenter> MakeHandle(
              : nullptr;
 }
 
-inline std::string MakeTempDir(const std::string& prefix) {
-  std::string templ = "/tmp/" + prefix + "XXXXXX";
-  std::vector<char> buf(templ.begin(), templ.end());
-  buf.push_back('\0');
-  char* dir = ::mkdtemp(buf.data());
-  EXPECT_NE(dir, nullptr);
-  return dir == nullptr ? std::string() : std::string(dir);
-}
+/// A fresh directory under /tmp that is removed, with everything in it,
+/// when the object goes out of scope. Tests may create and delete entries
+/// inside it freely. Movable, so fixtures can own one.
+class TempDir {
+ public:
+  explicit TempDir(const std::string& prefix) {
+    std::string templ = "/tmp/" + prefix + "XXXXXX";
+    std::vector<char> buf(templ.begin(), templ.end());
+    buf.push_back('\0');
+    char* dir = ::mkdtemp(buf.data());
+    EXPECT_NE(dir, nullptr);
+    if (dir != nullptr) path_ = dir;
+  }
+  ~TempDir() {
+    std::error_code ignored;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ignored);
+  }
+  TempDir(TempDir&& other) noexcept : path_(std::move(other.path_)) {
+    other.path_.clear();
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+  TempDir& operator=(TempDir&&) = delete;
+
+  /// Empty when the directory could not be created.
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// Writes the `<name>.sql` + `<name>.relevant.csv` pair DiscoverPlans
 /// expects. Returns the relevant table as re-read from its CSV — the exact
