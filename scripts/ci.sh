@@ -40,6 +40,20 @@ for threads in 1 2 4 8; do
   FEATLIB_NUM_THREADS="$threads" "$ROOT/build/determinism_test"
 done
 
+# ---- Order statistics: value orders under every backend and thread count ---
+# (value_order_test pins the in-RAM order-statistic path — each group's rows
+# walked in value order, filtered by the candidate's mask — against
+# ComputeAggregate over row-ordered slices, the morsel pipeline and
+# ExecuteAggQuery; its planner sweeps add FEATLIB_NUM_THREADS to the pool
+# sizes they run.)
+for backend in scalar simd; do
+  for threads in 1 2 4 8; do
+    echo "ci.sh: value_order_test under FEATLIB_KERNEL_BACKEND=$backend FEATLIB_NUM_THREADS=$threads"
+    FEATLIB_KERNEL_BACKEND="$backend" FEATLIB_NUM_THREADS="$threads" \
+      "$ROOT/build/value_order_test"
+  done
+done
+
 # ---- Bench record: serving warm-vs-cold + the search-pipeline comparison ---
 # (bench_micro writes BENCH_executor.json at the repo root; the record
 # carries the transform_warm_vs_cold fields of the FittedAugmenter path, the
@@ -212,6 +226,7 @@ ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS"
 for backend in scalar simd; do
   FEATLIB_KERNEL_BACKEND="$backend" "$ROOT/build-asan/kernel_dispatch_test"
   FEATLIB_KERNEL_BACKEND="$backend" "$ROOT/build-asan/executor_golden_test"
+  FEATLIB_KERNEL_BACKEND="$backend" "$ROOT/build-asan/value_order_test"
 done
 FEATLIB_CSV_FUZZ_SEED="$CSV_FUZZ_SEED" FEATLIB_CSV_FUZZ_ITERS="$CSV_FUZZ_ITERS" \
   "$ROOT/build-asan/csv_test" --gtest_filter='CsvMutationSweep.*'
@@ -238,6 +253,9 @@ FEATLIB_CSV_FUZZ_SEED="$CSV_FUZZ_SEED" FEATLIB_CSV_FUZZ_ITERS="$CSV_FUZZ_ITERS" 
 # across the pool: row-chunk tally/fill tasks of one bucket build write
 # disjoint slices of the same flat array, and group-range kernel items of
 # one candidate write disjoint ranges of its shared per-group buffer.
+# value_order_test does the same for value orders: one grouping task and
+# group-range sort tasks per build, then group-range kernel items per
+# order-statistic candidate.
 # serving_concurrency_test runs concurrent Transform calls on one handle:
 # each maps its batch and scatters the shared frozen per-group values, with
 # no aggregation and no shared mutable state.)
@@ -247,6 +265,7 @@ TSAN_TESTS=(
   morsel_test
   query_planner_test
   kernel_dispatch_test
+  value_order_test
   artifact_store_test
   serving_concurrency_test
   generator_test

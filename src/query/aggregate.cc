@@ -4,6 +4,8 @@
 #include <cctype>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 
 #include "common/str_util.h"
 
@@ -19,17 +21,61 @@ const char* const kAggNames[kNumAggFunctions] = {
 
 double Nan() { return std::nan(""); }
 
-double Median(std::vector<double>* values) {
-  const size_t n = values->size();
-  if (n == 0) return Nan();
+// Inverse of TotalOrderKey: positive keys (top bit set) flip the sign bit
+// back, the rest every bit.
+double FromTotalOrderKey(uint64_t key) {
+  const uint64_t bits = key ^ (((key >> 63) - 1) | (uint64_t{1} << 63));
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+// Median of the values keyed by `keys` (non-empty) by selection; reorders
+// the keys. Keys are unique per bit pattern, so the element at `mid` and
+// the largest one below it read the same bits as SortedMedian over the
+// sorted arrangement.
+double MedianOfKeys(std::vector<uint64_t>& keys) {
+  const size_t n = keys.size();
   const size_t mid = n / 2;
-  std::nth_element(values->begin(), values->begin() + static_cast<ptrdiff_t>(mid),
-                   values->end());
-  const double upper = (*values)[mid];
+  const auto at_mid = keys.begin() + static_cast<ptrdiff_t>(mid);
+  std::nth_element(keys.begin(), at_mid, keys.end());
+  const double upper = FromTotalOrderKey(*at_mid);
   if (n % 2 == 1) return upper;
   const double lower =
-      *std::max_element(values->begin(), values->begin() + static_cast<ptrdiff_t>(mid));
+      FromTotalOrderKey(*std::max_element(keys.begin(), at_mid));
   return 0.5 * (lower + upper);
+}
+
+double SortedMedian(const double* sorted, size_t n) {
+  const size_t mid = n / 2;
+  if (n % 2 == 1) return sorted[mid];
+  return 0.5 * (sorted[mid - 1] + sorted[mid]);
+}
+
+std::vector<uint64_t> KeysOf(const double* values, size_t n) {
+  std::vector<uint64_t> keys(n);
+  for (size_t i = 0; i < n; ++i) keys[i] = TotalOrderKey(values[i]);
+  return keys;
+}
+
+// Median absolute deviation of values[0, n) (n > 0) around `median`.
+double MadAround(double median, const double* values, size_t n) {
+  std::vector<uint64_t> dev(n);
+  for (size_t i = 0; i < n; ++i) {
+    dev[i] = TotalOrderKey(std::fabs(values[i] - median));
+  }
+  return MedianOfKeys(dev);
+}
+
+// The values keyed by `keys`, in ascending total order. Sorting the integer
+// keys costs what sorting the doubles with `<` does.
+std::vector<double> SortedValues(std::vector<uint64_t>& keys) {
+  std::sort(keys.begin(), keys.end());
+  std::vector<double> sorted(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    sorted[i] = FromTotalOrderKey(keys[i]);
+  }
+  return sorted;
 }
 
 }  // namespace
@@ -57,6 +103,74 @@ std::vector<AggFunction> AllAggFunctions() {
   out.reserve(kNumAggFunctions);
   for (int i = 0; i < kNumAggFunctions; ++i) out.push_back(static_cast<AggFunction>(i));
   return out;
+}
+
+bool IsOrderStatistic(AggFunction fn) {
+  switch (fn) {
+    case AggFunction::kCountDistinct:
+    case AggFunction::kEntropy:
+    case AggFunction::kMode:
+    case AggFunction::kMad:
+    case AggFunction::kMedian:
+      return true;
+    default:
+      return false;
+  }
+}
+
+double AggregateSortedSlice(AggFunction fn, const double* sorted, size_t n) {
+  if (n == 0) return fn == AggFunction::kCountDistinct ? 0.0 : Nan();
+  switch (fn) {
+    case AggFunction::kCountDistinct: {
+      size_t distinct = 1;
+      for (size_t i = 1; i < n; ++i) {
+        if (sorted[i] != sorted[i - 1]) ++distinct;
+      }
+      return static_cast<double>(distinct);
+    }
+    case AggFunction::kEntropy: {
+      // Run-length counting: no per-group hash map, and the terms
+      // accumulate in ascending-value order.
+      double h = 0.0;
+      size_t run = 1;
+      for (size_t i = 1; i <= n; ++i) {
+        if (i < n && sorted[i] == sorted[i - 1]) {
+          ++run;
+          continue;
+        }
+        const double p = static_cast<double>(run) / static_cast<double>(n);
+        h -= p * std::log(p);
+        run = 1;
+      }
+      return h;
+    }
+    case AggFunction::kMode: {
+      // Requiring a strictly greater count breaks ties toward the smallest
+      // value.
+      double best = sorted[0];
+      size_t best_count = 0;
+      size_t run = 1;
+      for (size_t i = 1; i <= n; ++i) {
+        if (i < n && sorted[i] == sorted[i - 1]) {
+          ++run;
+          continue;
+        }
+        if (run > best_count) {
+          best = sorted[i - 1];
+          best_count = run;
+        }
+        run = 1;
+      }
+      return best;
+    }
+    case AggFunction::kMad:
+      return MadAround(SortedMedian(sorted, n), sorted, n);
+    case AggFunction::kMedian:
+      return SortedMedian(sorted, n);
+    default:
+      FEAT_CHECK(false, "AggregateSortedSlice: not an order statistic");
+  }
+  return Nan();
 }
 
 bool SupportsCategorical(AggFunction fn) {
@@ -96,24 +210,21 @@ double ComputeAggregate(AggFunction fn, const double* values, size_t n) {
       return s / static_cast<double>(n);
     }
     case AggFunction::kCountDistinct: {
-      // NaN never compares equal to itself (and is unordered, so it cannot
-      // go through std::sort); fold all NaNs into one distinct value.
-      std::vector<double> copy;
-      copy.reserve(n);
+      // NaN never compares equal to itself; fold all NaNs into one distinct
+      // value.
+      std::vector<uint64_t> keys;
+      keys.reserve(n);
       bool has_nan = false;
       for (size_t i = 0; i < n; ++i) {
         if (std::isnan(values[i])) {
           has_nan = true;
         } else {
-          copy.push_back(values[i]);
+          keys.push_back(TotalOrderKey(values[i]));
         }
       }
-      std::sort(copy.begin(), copy.end());
-      size_t distinct = has_nan ? 1 : 0;
-      for (size_t i = 0; i < copy.size(); ++i) {
-        if (i == 0 || copy[i] != copy[i - 1]) ++distinct;
-      }
-      return static_cast<double>(distinct);
+      const std::vector<double> sorted = SortedValues(keys);
+      return AggregateSortedSlice(fn, sorted.data(), sorted.size()) +
+             (has_nan ? 1.0 : 0.0);
     }
     case AggFunction::kVar:
     case AggFunction::kVarSample:
@@ -132,25 +243,11 @@ double ComputeAggregate(AggFunction fn, const double* values, size_t n) {
       const double var = ss / denom;
       return std_dev ? std::sqrt(var) : var;
     }
-    case AggFunction::kEntropy: {
-      if (n == 0) return Nan();
-      // Sorted run-length counting: no per-group hash map, and the terms
-      // accumulate in ascending-value order, which keeps the result
-      // deterministic regardless of input order.
-      std::vector<double> copy(values, values + n);
-      std::sort(copy.begin(), copy.end());
-      double h = 0.0;
-      size_t run = 1;
-      for (size_t i = 1; i <= n; ++i) {
-        if (i < n && copy[i] == copy[i - 1]) {
-          ++run;
-          continue;
-        }
-        const double p = static_cast<double>(run) / static_cast<double>(n);
-        h -= p * std::log(p);
-        run = 1;
-      }
-      return h;
+    case AggFunction::kEntropy:
+    case AggFunction::kMode: {
+      std::vector<uint64_t> keys = KeysOf(values, n);
+      const std::vector<double> sorted = SortedValues(keys);
+      return AggregateSortedSlice(fn, sorted.data(), n);
     }
     case AggFunction::kKurtosis: {
       if (n < 2) return Nan();
@@ -169,40 +266,15 @@ double ComputeAggregate(AggFunction fn, const double* values, size_t n) {
       if (m2 <= 0.0) return Nan();
       return m4 / (m2 * m2) - 3.0;  // excess kurtosis
     }
-    case AggFunction::kMode: {
-      if (n == 0) return Nan();
-      // Ascending run scan; requiring a strictly greater count breaks ties
-      // toward the smallest value, as the old std::map pass did.
-      std::vector<double> copy(values, values + n);
-      std::sort(copy.begin(), copy.end());
-      double best = copy[0];
-      size_t best_count = 0;
-      size_t run = 1;
-      for (size_t i = 1; i <= n; ++i) {
-        if (i < n && copy[i] == copy[i - 1]) {
-          ++run;
-          continue;
-        }
-        if (run > best_count) {
-          best = copy[i - 1];
-          best_count = run;
-        }
-        run = 1;
-      }
-      return best;
-    }
     case AggFunction::kMad: {
       if (n == 0) return Nan();
-      std::vector<double> copy(values, values + n);
-      const double med = Median(&copy);
-      std::vector<double> dev(n);
-      for (size_t i = 0; i < n; ++i) dev[i] = std::fabs(values[i] - med);
-      return Median(&dev);
+      std::vector<uint64_t> keys = KeysOf(values, n);
+      return MadAround(MedianOfKeys(keys), values, n);
     }
     case AggFunction::kMedian: {
       if (n == 0) return Nan();
-      std::vector<double> copy(values, values + n);
-      return Median(&copy);
+      std::vector<uint64_t> keys = KeysOf(values, n);
+      return MedianOfKeys(keys);
     }
   }
   return Nan();

@@ -5,6 +5,8 @@
 /// paper): SUM, MIN, MAX, COUNT, AVG, COUNT DISTINCT, VAR, VAR_SAMPLE, STD,
 /// STD_SAMPLE, ENTROPY, KURTOSIS, MODE, MAD, MEDIAN.
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -46,6 +48,31 @@ std::vector<AggFunction> AllAggFunctions();
 /// well-defined on categorical (string) aggregation attributes as well.
 bool SupportsCategorical(AggFunction fn);
 
+/// True for the order statistics COUNT_DISTINCT, ENTROPY, MODE, MAD and
+/// MEDIAN: the functions that read their values in ascending order.
+bool IsOrderStatistic(AggFunction fn);
+
+/// \brief Order-preserving key of the IEEE 754 total order: for any two
+/// doubles, `TotalOrderKey(a) < TotalOrderKey(b)` iff a sorts before b, with
+/// -NaN < -inf < ... < -0.0 < +0.0 < ... < +inf < +NaN. Only identical bit
+/// patterns share a key, so an ascending arrangement of any multiset is
+/// unique — e.g. -0.0 always sorts before +0.0, which `<` cannot tell
+/// apart. Branch-free: negative values flip every bit, the rest only the
+/// sign bit.
+inline uint64_t TotalOrderKey(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  const uint64_t negative = 0 - (bits >> 63);
+  return bits ^ (negative | (uint64_t{1} << 63));
+}
+
+/// \brief The one finish of every order statistic: `fn` (IsOrderStatistic)
+/// over `n` non-NaN values already in ascending total order. Runs of equal
+/// values compare with `==`, so -0.0 and +0.0 are one value to
+/// COUNT_DISTINCT, ENTROPY and MODE (MODE returns the run's last, i.e.
+/// largest, member). An empty slice is COUNT_DISTINCT 0 and NaN otherwise.
+double AggregateSortedSlice(AggFunction fn, const double* sorted, size_t n);
+
 /// \brief Computes `fn` over the numeric view of `col` restricted to `rows`.
 ///
 /// Null cells are skipped (SQL semantics); COUNT counts non-null cells.
@@ -59,6 +86,10 @@ double ComputeAggregate(AggFunction fn, const std::vector<double>& values);
 
 /// Dense core over a contiguous slice (no nulls). The batch executor
 /// aggregates group slices of one flat array through this without copying.
+/// Order statistics arrange the values' TotalOrderKeys in ascending order
+/// (MEDIAN and MAD by selection, the rest by sorting) and finish like
+/// AggregateSortedSlice, so the result never depends on the input's
+/// arrangement.
 double ComputeAggregate(AggFunction fn, const double* values, size_t n);
 
 }  // namespace featlib

@@ -21,6 +21,11 @@ const std::vector<double>* ArtifactStore::FindView(const std::string& attr) {
   return it == view_shard_.end() ? nullptr : &it->second;
 }
 
+const ValueOrder* ArtifactStore::FindOrder(const std::string& key) {
+  auto it = order_shard_.find(key);
+  return it == order_shard_.end() ? nullptr : &it->second;
+}
+
 const MaterializedValues* ArtifactStore::FindMaterialized(
     const std::string& key) {
   auto it = mat_shard_.find(key);
@@ -62,6 +67,12 @@ const std::vector<double>* ArtifactStore::PublishView(
     const std::string& attr, std::vector<double> view) {
   ++view_builds_;
   return &view_shard_.emplace(attr, std::move(view)).first->second;
+}
+
+const ValueOrder* ArtifactStore::PublishOrder(const std::string& key,
+                                              ValueOrder order) {
+  ++order_builds_;
+  return &order_shard_.emplace(key, std::move(order)).first->second;
 }
 
 const MaterializedValues* ArtifactStore::PublishMaterialized(

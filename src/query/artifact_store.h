@@ -4,7 +4,7 @@
 /// \brief Sharded cache of the shared artifacts the candidate-evaluation
 /// planner reuses across candidates and batches.
 ///
-/// Middle layer of the planner / store / kernel split. The store holds four
+/// Middle layer of the planner / store / kernel split. The store holds five
 /// kind-shards, each with its own map, byte accounting, and eviction policy:
 ///
 ///   - group shard:  GroupIndex + training-row map per group-key set
@@ -13,6 +13,9 @@
 ///                   per predicate conjunction (byte-capped),
 ///   - view shard:   numeric value views (NaN iff null) per agg attribute
 ///                   (never evicted: one per column),
+///   - order shard:  value-sorted row permutations (ValueOrder) per
+///                   (group keys, agg attribute) pair, read by every order
+///                   statistic over the pair (never evicted: one per pair),
 ///   - mat shard:    bucket materializations per (group keys, predicates,
 ///                   agg attribute) bucket (byte-capped).
 ///
@@ -76,6 +79,7 @@ class ArtifactStore {
   GroupArtifact* FindGroup(const std::string& key);
   const Bitset* FindMask(const std::string& key);
   const std::vector<double>* FindView(const std::string& attr);
+  const ValueOrder* FindOrder(const std::string& key);
   const MaterializedValues* FindMaterialized(const std::string& key);
   /// @}
 
@@ -93,6 +97,7 @@ class ArtifactStore {
                             bool is_conjunction);
   const std::vector<double>* PublishView(const std::string& attr,
                                          std::vector<double> view);
+  const ValueOrder* PublishOrder(const std::string& key, ValueOrder order);
   const MaterializedValues* PublishMaterialized(const std::string& key,
                                                 MaterializedValues values);
   /// @}
@@ -111,6 +116,7 @@ class ArtifactStore {
   size_t num_mask_builds() const { return mask_builds_; }
   size_t num_conjunction_builds() const { return conjunction_builds_; }
   size_t num_view_builds() const { return view_builds_; }
+  size_t num_order_builds() const { return order_builds_; }
   size_t num_materializations() const { return materializations_; }
   /// Entries evicted so far (mask + mat shards). Entries referenced by the
   /// current batch are pinned and never evicted mid-batch.
@@ -143,6 +149,7 @@ class ArtifactStore {
   size_t mask_bytes_ = 0;
   size_t mask_cap_bytes_ = 64u << 20;
   std::unordered_map<std::string, std::vector<double>> view_shard_;
+  std::unordered_map<std::string, ValueOrder> order_shard_;
   std::unordered_map<std::string, MatEntry> mat_shard_;
   size_t mat_bytes_ = 0;
   size_t mat_cap_bytes_ = 128u << 20;
@@ -156,6 +163,7 @@ class ArtifactStore {
   size_t mask_builds_ = 0;
   size_t conjunction_builds_ = 0;
   size_t view_builds_ = 0;
+  size_t order_builds_ = 0;
   size_t materializations_ = 0;
   size_t num_evictions_ = 0;
 };

@@ -25,9 +25,11 @@ namespace featlib {
 /// State is per-group tallies (selected rows, non-null values) plus the
 /// function family's accumulators: a running sum (SUM/AVG, and the first
 /// pass of the VAR family and KURTOSIS), a running best (MIN/MAX), or the
-/// group's value buffer (COUNT_DISTINCT/ENTROPY/MODE/MAD/MEDIAN, finished
-/// through ComputeAggregate's sort-based slice aggregates — a flat buffer
-/// per group costs a fraction of a per-value tree node to fill and free).
+/// group's value buffer (the order statistics COUNT_DISTINCT/ENTROPY/MODE/
+/// MAD/MEDIAN, finished through ComputeAggregate, which arranges the buffer
+/// in the IEEE total order and runs the AggregateSortedSlice scan the
+/// in-RAM fit runs over its ValueOrders — a flat buffer per group costs a
+/// fraction of a per-value tree node to fill and free).
 /// State is bounded by the number of groups except for the buffer family
 /// (values).
 ///

@@ -19,13 +19,16 @@
 /// `RowSpans` below is the scalar reference. The per-group arithmetic lives
 /// in the one GroupAccumulator (query/group_accumulator.h); the dense-slice
 /// oracle ComputeAggregate (query/aggregate.h) aggregates materialized
-/// buckets.
+/// buckets; order statistics walk a ValueOrder and finish with
+/// AggregateSortedSlice (query/aggregate.h).
 ///
 /// Bit-identity contract: every accumulation visits selected rows in
 /// ascending row order — the same order the original per-candidate executor
-/// appended group row vectors in — so kernel outputs are byte-identical to
-/// the recorded goldens (tests/golden/) at every thread count, backend and
-/// morsel size.
+/// appended group row vectors in — and every order statistic reads its
+/// selected values in the IEEE total order, the one arrangement
+/// ComputeAggregate also sorts (or selects) any multiset into, so kernel
+/// outputs are byte-identical to the recorded goldens (tests/golden/) at
+/// every thread count, backend and morsel size.
 
 #include <cmath>
 #include <cstdint>
@@ -67,6 +70,26 @@ struct MaterializedValues {
   }
 };
 
+/// The relevant rows of one (group-key set, agg attribute) pair, grouped by
+/// group id and, within each group, in ascending IEEE total order of their
+/// values (TotalOrderKey, query/aggregate.h), null rows last; rows with the
+/// same bits, and the null rows, keep row order. Built once per pair and
+/// shared by every order-statistic candidate over it, whatever its
+/// predicates: a candidate keeps the rows its mask selects, which are then
+/// already sorted, and finishes each group with one AggregateSortedSlice
+/// scan — no per-candidate sort and no bucket materialization.
+struct ValueOrder {
+  std::vector<uint32_t> offsets;    // group id -> row slice bounds (size G+1)
+  std::vector<uint32_t> value_end;  // group id -> end of its non-null rows
+  std::vector<uint32_t> rows;       // relevant row ids, group-major
+
+  /// The arrays of one build: 4 bytes per row and 8 per group (+4), the
+  /// ExecContext charge of the build.
+  static size_t PlannedBytes(size_t n_rows, size_t n_groups) {
+    return (n_rows + 2 * n_groups + 1) * sizeof(uint32_t);
+  }
+};
+
 /// Everything one candidate's kernel needs, resolved by the QueryPlanner's
 /// prepare phase. All pointers are to store-owned (pinned) or const data;
 /// the fan-out phase reads them without touching any cache.
@@ -77,6 +100,7 @@ struct PlannedCandidate {
   const double* view = nullptr;             // null iff COUNT(*) (no attr)
   const Bitset* mask = nullptr;             // null = all rows selected
   const MaterializedValues* mat = nullptr;  // aggregate from slices if set
+  const ValueOrder* order = nullptr;  // order statistic: walk, with mask+view
 };
 
 /// The reference selected-row iteration: every selected row of the row
@@ -229,6 +253,34 @@ void LayoutMaterialized(std::vector<MaterializeChunk>& chunks,
 /// run concurrently; [0, G) is the whole bucket.
 void AggregateFromMaterialized(AggFunction fn, const MaterializedValues& m,
                                size_t g_begin, size_t g_end, double* out);
+
+/// A ValueOrder build runs in three steps, like a bucket's: the caller
+/// sizes the arrays for `n_rows` rows and `n_groups` groups
+/// (AllocateValueOrder), one task groups the rows (GroupValueOrder), and
+/// group ranges sort in parallel (SortValueOrder).
+void AllocateValueOrder(size_t n_rows, size_t n_groups, ValueOrder* order);
+
+/// Counting sort of the rows with a group (`row_groups`, kNoGroup skipped)
+/// into group-major row order: fills `order->offsets` and `order->rows`.
+void GroupValueOrder(const uint32_t* row_groups, size_t n_rows,
+                     ValueOrder* order);
+
+/// Sorts each group of [g_begin, g_end) by the values `view` holds (NaN =
+/// null, last) and sets its value_end. Ranges of one build write disjoint
+/// parts of `order`, so they may run concurrently.
+void SortValueOrder(const double* view, size_t g_begin, size_t g_end,
+                    ValueOrder* order);
+
+/// The order-statistic kernel (COUNT_DISTINCT, ENTROPY, MODE, MAD, MEDIAN)
+/// for the groups [g_begin, g_end): walks each group's rows in value order,
+/// keeps the non-null ones `mask` selects (all when null) and writes
+/// AggregateSortedSlice of them to out[g] — NaN for a group with no
+/// selected row; a group whose selected rows are all null finishes as an
+/// empty slice. Byte-identical to ComputeAggregate over the group's
+/// selected values in row order. Ranges write disjoint parts of `out`.
+void AggregateFromValueOrder(AggFunction fn, const ValueOrder& order,
+                             const Bitset* mask, const double* view,
+                             size_t g_begin, size_t g_end, double* out);
 
 /// The scatter step every feature column ends with: per-group values through
 /// a training-row map (training row -> group id) into a column aligned to

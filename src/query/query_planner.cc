@@ -32,7 +32,8 @@ Status GuardedBuild(const char* site, const Body& body) {
 }
 
 // Aggregates whose one-pass streaming kernel accumulates directly into
-// per-group arrays; the rest materialize per-group value vectors.
+// per-group arrays. Of the rest, KURTOSIS materializes its bucket and the
+// order statistics read a ValueOrder.
 bool IsStreamingAgg(AggFunction fn) {
   switch (fn) {
     case AggFunction::kCount:
@@ -139,11 +140,33 @@ size_t MatTallyBytes(size_t n_rows, size_t n_groups) {
          (sizeof(uint32_t) + sizeof(size_t));
 }
 
-// Flat values per fan-out item: a materialized candidate splits into
-// consecutive group ranges of about this many values (each group counts one
-// more), so one slow candidate — MEDIAN's selection, the sorts behind
-// COUNT_DISTINCT, MODE and ENTROPY — spreads across the pool.
+// Flat values per fan-out item: a materialized or order-statistic candidate
+// splits into consecutive group ranges of about this many values or rows
+// (each group counts one more), so one slow candidate — an order
+// statistic's walk over every row of its pair — spreads across the pool.
 constexpr size_t kKernelRangeValues = 8192;
+
+// Rows per ValueOrder sort task: a build's groups split into consecutive
+// ranges of about this many rows (each group counts one more).
+constexpr size_t kOrderSortRows = 16384;
+
+// Cuts groups [0, n_groups) into consecutive ranges of about `target`
+// weight, where group g weighs size(g) + 1; at least one range.
+template <typename Size, typename Emit>
+void CutGroupRanges(size_t n_groups, size_t target, const Size& size,
+                    const Emit& emit) {
+  size_t begin = 0;
+  size_t weight = 0;
+  for (size_t g = 0; g < n_groups; ++g) {
+    weight += size(g) + 1;
+    if (weight >= target) {
+      emit(begin, g + 1);
+      begin = g + 1;
+      weight = 0;
+    }
+  }
+  if (begin < n_groups || begin == 0) emit(begin, n_groups);
+}
 
 // Runs fn(0..n-1) on `pool` in chunks of `chunk` indices (0 = automatic),
 // or inline in index order without one; a tripped ctx stops either.
@@ -238,6 +261,17 @@ struct ViewReq {  // numeric value view of one agg attribute
   Status error;
 };
 
+struct OrderReq {  // value-sorted row permutation (depends on group + view)
+  std::string key;
+  size_t group = 0;
+  size_t view = 0;
+  const GroupIndex* index = nullptr;  // build inputs, resolved after stage B
+  const double* view_data = nullptr;
+  const ValueOrder* order = nullptr;  // cached or published
+  std::optional<ValueOrder> built;
+  Status error;
+};
+
 struct MatReq {  // bucket materialization (depends on group + mask + view)
   std::string key;
   size_t group = 0;
@@ -265,6 +299,7 @@ struct CandidateSpec {
   int view = -1;
   int mat = -1;                               // MatReq to build/join
   const MaterializedValues* mat_hit = nullptr;  // store hit, no request
+  int order = -1;                             // OrderReq (order statistics)
 };
 
 }  // namespace
@@ -290,6 +325,7 @@ Result<const QueryPlanner::CompiledShape*> QueryPlanner::ResolveShape(
     shape.combo_key = ComboKey(shape.pred_keys);
   }
   shape.bucket_key = BucketKey(shape.group_key, q.agg_attr, shape.pred_keys);
+  shape.order_key = BucketKey(shape.group_key, q.agg_attr, {});
   ++plan_stats_.compile_misses;
   ++compile_cache_misses_;
   auto [inserted_it, inserted] =
@@ -347,13 +383,21 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
     }
   }
 
-  // Buckets shared by several candidates pay one materialization and serve
-  // every member from flat slices; singleton buckets keep the cheaper
-  // streaming kernel for streaming-family aggregates.
+  // Order statistics read the ValueOrder of their (group keys, attribute)
+  // pair instead of a bucket. Buckets shared by several other candidates
+  // pay one materialization and serve every member from flat slices;
+  // singleton buckets keep the cheaper streaming kernel for
+  // streaming-family aggregates.
+  auto reads_order = [&](const AggQuery& q) {
+    return !for_grouped_result && IsOrderStatistic(q.agg) &&
+           !q.agg_attr.empty();
+  };
   std::unordered_map<std::string, int> bucket_counts;
   if (!for_grouped_result) {
-    for (const CompiledShape* shape : shapes) {
-      if (shape != nullptr) ++bucket_counts[shape->bucket_key];
+    for (size_t i = 0; i < queries.size(); ++i) {
+      if (shapes[i] != nullptr && !reads_order(queries[i])) {
+        ++bucket_counts[shapes[i]->bucket_key];
+      }
     }
   }
 
@@ -361,9 +405,10 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
   std::vector<MaskReq> masks;
   std::vector<ComboReq> combos;
   std::vector<ViewReq> views;
+  std::vector<OrderReq> orders;
   std::vector<MatReq> mats;
   std::unordered_map<std::string, size_t> group_idx, mask_idx, combo_idx,
-      view_idx, mat_idx;
+      view_idx, order_idx, mat_idx;
 
   auto intern_group = [&](const AggQuery& q, const std::string& key) -> size_t {
     auto [it, inserted] = group_idx.emplace(key, groups.size());
@@ -427,7 +472,7 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
     // carries the selection baked in: the kernel needs neither mask nor
     // view. ExecuteAggQuery never takes this path — it streams so it can
     // recover first-selected-row group order.
-    if (!for_grouped_result && !q.agg_attr.empty()) {
+    if (!for_grouped_result && !q.agg_attr.empty() && !reads_order(q)) {
       auto pending = mat_idx.find(shape.bucket_key);
       if (pending != mat_idx.end()) {
         spec.mat = static_cast<int>(pending->second);
@@ -475,6 +520,19 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
     }
     const size_t view = view_slot.value();
     spec.view = static_cast<int>(view);
+    if (reads_order(q)) {
+      auto [it, inserted] = order_idx.emplace(shape.order_key, orders.size());
+      if (inserted) {
+        OrderReq req;
+        req.key = shape.order_key;
+        req.group = spec.group;
+        req.view = view;
+        req.order = store_.FindOrder(shape.order_key);
+        orders.push_back(std::move(req));
+      }
+      spec.order = static_cast<int>(it->second);
+      continue;
+    }
     const bool shared_bucket =
         !for_grouped_result && bucket_counts[shape.bucket_key] > 1;
     if (for_grouped_result || (IsStreamingAgg(q.agg) && !shared_bucket)) {
@@ -518,6 +576,10 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
   for (size_t ci = 0; ci < combos.size(); ++ci) {
     if (combos[ci].bits == nullptr) b_combos.push_back(ci);
   }
+  std::vector<size_t> c_orders;
+  for (size_t oi = 0; oi < orders.size(); ++oi) {
+    if (orders[oi].order == nullptr) c_orders.push_back(oi);
+  }
   std::vector<size_t> c_mats(mats.size());
   for (size_t i = 0; i < mats.size(); ++i) c_mats[i] = i;
 
@@ -525,13 +587,15 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
   plan_stats_.mask_requests = masks.size();
   plan_stats_.conjunction_requests = combos.size();
   plan_stats_.view_requests = views.size();
+  plan_stats_.order_requests = orders.size();
   plan_stats_.mat_requests = mats.size();
   plan_stats_.train_map_requests = b_maps.size();
   plan_stats_.builds_run = a_groups.size() + a_masks.size() + a_views.size() +
-                           b_maps.size() + b_combos.size() + c_mats.size();
+                           b_maps.size() + b_combos.size() + c_orders.size() +
+                           c_mats.size();
   const size_t n_a = a_groups.size() + a_masks.size() + a_views.size();
   const size_t n_b = b_maps.size() + b_combos.size();
-  const size_t n_c = c_mats.size();
+  const size_t n_c = c_orders.size() + c_mats.size();
   plan_stats_.stages_run =
       (n_a > 0 ? 1 : 0) + (n_b > 0 ? 1 : 0) + (n_c > 0 ? 1 : 0);
 
@@ -720,26 +784,60 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
   FEAT_RETURN_NOT_OK(stage_error);
 
   // ---- Stage C budget, now that stage A has published the group counts:
-  // every bucket's chunk tallies (released again in the true-up — they die
-  // with this call) and the fan-out's per-group buffer of each materialized
-  // candidate. ----
+  // every ValueOrder build, every bucket's chunk tallies (released again in
+  // the true-up — they die with this call) and the fan-out's per-group
+  // buffer of each materialized or order-statistic candidate. ----
   size_t tally_bytes = 0;
   if (ctx != nullptr) {
-    size_t per_group_bytes = 0;
+    size_t stage_c_bytes = 0;
+    for (size_t oi : c_orders) {
+      const GroupReq& group = groups[orders[oi].group];
+      if (group.artifact == nullptr) continue;  // isolated build failure
+      stage_c_bytes +=
+          ValueOrder::PlannedBytes(n_rows, group.artifact->index.num_groups());
+    }
     for (const MatReq& req : mats) {
       const GroupReq& group = groups[req.group];
-      if (group.artifact == nullptr) continue;  // isolated build failure
+      if (group.artifact == nullptr) continue;
       tally_bytes += MatTallyBytes(n_rows, group.artifact->index.num_groups());
     }
     for (const CandidateSpec& spec : specs) {
+      if (spec.query == nullptr) continue;  // isolated compile failure
       const GroupReq& group = groups[spec.group];
-      if (spec.mat >= 0 && group.artifact != nullptr) {
-        per_group_bytes += group.artifact->index.num_groups() * sizeof(double);
+      if ((spec.mat >= 0 || spec.order >= 0) && group.artifact != nullptr) {
+        stage_c_bytes += group.artifact->index.num_groups() * sizeof(double);
       } else if (spec.mat_hit != nullptr) {
-        per_group_bytes += spec.mat_hit->present.size() * sizeof(double);
+        stage_c_bytes += spec.mat_hit->present.size() * sizeof(double);
       }
     }
-    FEAT_RETURN_NOT_OK(ctx->ChargeMemory(tally_bytes + per_group_bytes));
+    FEAT_RETURN_NOT_OK(ctx->ChargeMemory(tally_bytes + stage_c_bytes));
+  }
+
+  // ---- ValueOrder setup, on this thread: resolve each build's inputs, fire
+  // its fault site and allocate its arrays. ----
+  std::vector<size_t> o_groups;  // OrderReqs to group (one task each)
+  for (size_t oi : c_orders) {
+    OrderReq& req = orders[oi];
+    const GroupReq& group = groups[req.group];
+    if (group.artifact == nullptr) {
+      req.error = inherit(group.error, "group index");
+      continue;
+    }
+    const ViewReq& view = views[req.view];
+    if (view.view == nullptr) {
+      req.error = inherit(view.error, "value view");
+      continue;
+    }
+    req.index = &group.artifact->index;
+    req.view_data = view.view->data();
+    req.error = CatchBuild([&]() -> Status {
+      FEAT_RETURN_NOT_OK(FaultPoint("prepare.order"));
+      ValueOrder order;
+      AllocateValueOrder(n_rows, req.index->num_groups(), &order);
+      req.built.emplace(std::move(order));
+      return Status::OK();
+    });
+    if (req.error.ok()) o_groups.push_back(oi);
   }
 
   // ---- Stage C setup, on this thread: resolve each bucket's inputs, fire
@@ -846,8 +944,52 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
       req.values = store_.PublishMaterialized(req.key, std::move(*req.built));
     }
   };
-  FEAT_RETURN_NOT_OK(run_stages({{c_tasks.size(), run_tally, layout_tallies},
-                                 {c_tasks.size(), run_fill, publish_stage_c}}));
+  // ValueOrders ride along: each groups its rows in one task beside the
+  // tallies; the layout step then cuts it into group ranges that sort
+  // beside the fills. Two calls, since the sort tasks are counted only
+  // once the rows are grouped.
+  struct SortTask {
+    size_t order;
+    size_t g_begin;
+    size_t g_end;
+  };
+  std::vector<SortTask> o_sorts;
+  auto run_tally_or_group = [&](size_t t) {
+    if (t < c_tasks.size()) return run_tally(t);
+    OrderReq& req = orders[o_groups[t - c_tasks.size()]];
+    GroupValueOrder(req.index->row_groups().data(), n_rows, &*req.built);
+  };
+  auto layout_and_cut = [&]() {
+    layout_tallies();
+    for (size_t oi : o_groups) {
+      const std::vector<uint32_t>& offsets = orders[oi].built->offsets;
+      CutGroupRanges(
+          offsets.size() - 1, kOrderSortRows,
+          [&](size_t g) { return offsets[g + 1] - offsets[g]; },
+          [&](size_t b, size_t e) { o_sorts.push_back({oi, b, e}); });
+    }
+  };
+  auto run_fill_or_sort = [&](size_t t) {
+    if (t < c_tasks.size()) return run_fill(t);
+    const SortTask& task = o_sorts[t - c_tasks.size()];
+    OrderReq& req = orders[task.order];
+    SortValueOrder(req.view_data, task.g_begin, task.g_end, &*req.built);
+  };
+  auto publish_orders_and_mats = [&]() {
+    for (size_t oi : c_orders) {
+      OrderReq& req = orders[oi];
+      if (!req.error.ok()) {
+        if (!isolated) note_error(req.error);
+        continue;
+      }
+      req.order = store_.PublishOrder(req.key, std::move(*req.built));
+    }
+    publish_stage_c();
+  };
+  FEAT_RETURN_NOT_OK(run_stages(
+      {{c_tasks.size() + o_groups.size(), run_tally_or_group, layout_and_cut}}));
+  FEAT_RETURN_NOT_OK(run_stages({{c_tasks.size() + o_sorts.size(),
+                                  run_fill_or_sort, publish_orders_and_mats}}));
   for (const MatReq& r : mats) {
     if (r.empty_selection) ++plan_stats_.empty_selections;
   }
@@ -900,6 +1042,10 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
       return Status::OK();
     }
     if (spec.mat_hit != nullptr) return Status::OK();
+    if (spec.order >= 0) {
+      const OrderReq& o = orders[static_cast<size_t>(spec.order)];
+      if (o.order == nullptr) return inherit(o.error, "value order");
+    }
     if (spec.mask_single >= 0) {
       const MaskReq& m = masks[static_cast<size_t>(spec.mask_single)];
       if (m.bits == nullptr) return inherit(m.error, "mask");
@@ -947,6 +1093,7 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
     if (spec.view >= 0) {
       p.view = views[static_cast<size_t>(spec.view)].view->data();
     }
+    if (spec.order >= 0) p.order = orders[static_cast<size_t>(spec.order)].order;
   }
   return planned;
 }
@@ -980,13 +1127,13 @@ Result<std::vector<std::vector<double>>> QueryPlanner::Evaluate(
     prepare_seconds_ = timer.Seconds();
 
     // ---- Fan-out phase: the per-group kernels as items on the pool. A
-    // streaming candidate is one item; a materialized one is a run of
-    // consecutive group ranges writing disjoint parts of a per-group buffer
-    // sized here. The item that finishes a candidate's last range runs its
-    // `exec.kernel` site and scatter through the training-row map — in
-    // candidate order on a 1-thread pool — and frees the candidate's
-    // per-group buffer, so streaming buffers do not pile up across a large
-    // batch. Every group's value is the same function over the same slice
+    // streaming candidate is one item; a materialized or order-statistic
+    // one is a run of consecutive group ranges writing disjoint parts of a
+    // per-group buffer sized here. The item that finishes a candidate's
+    // last range runs its `exec.kernel` site and scatter through the
+    // training-row map — in candidate order on a 1-thread pool — and frees
+    // the candidate's per-group buffer, so streaming buffers do not pile up
+    // across a large batch. Every group's value is the same function over the same slice
     // whichever thread runs it, so results are byte-identical at every
     // thread count. ----
     timer.Restart();
@@ -1002,24 +1149,19 @@ Result<std::vector<std::vector<double>>> QueryPlanner::Evaluate(
       const PlannedCandidate& p = planned[i];
       if (p.query == nullptr) continue;  // isolated failure
       const size_t first = items.size();
-      if (p.mat == nullptr) {
-        items.push_back({i, 0, 0});
+      auto split = [&](const auto& offsets) {  // a bucket's or an order's
+        per_group[i].resize(offsets.size() - 1);
+        CutGroupRanges(
+            offsets.size() - 1, kKernelRangeValues,
+            [&](size_t g) { return offsets[g + 1] - offsets[g]; },
+            [&](size_t b, size_t e) { items.push_back({i, b, e}); });
+      };
+      if (p.mat != nullptr) {
+        split(p.mat->offsets);
+      } else if (p.order != nullptr) {
+        split(p.order->offsets);
       } else {
-        const size_t n_groups = p.mat->present.size();
-        per_group[i].resize(n_groups);
-        size_t begin = 0;
-        size_t weight = 0;
-        for (size_t g = 0; g < n_groups; ++g) {
-          weight += p.mat->offsets[g + 1] - p.mat->offsets[g] + 1;
-          if (weight >= kKernelRangeValues) {
-            items.push_back({i, begin, g + 1});
-            begin = g + 1;
-            weight = 0;
-          }
-        }
-        if (begin < n_groups || begin == 0) {
-          items.push_back({i, begin, n_groups});
-        }
+        items.push_back({i, 0, 0});
       }
       items_left[i].store(items.size() - first, std::memory_order_relaxed);
     }
@@ -1033,6 +1175,9 @@ Result<std::vector<std::vector<double>>> QueryPlanner::Evaluate(
       if (p.mat != nullptr) {
         ops_->aggregate_from_materialized(p.query->agg, *p.mat, item.g_begin,
                                           item.g_end, per_group[i].data());
+      } else if (p.order != nullptr) {
+        AggregateFromValueOrder(p.query->agg, *p.order, p.mask, p.view,
+                                item.g_begin, item.g_end, per_group[i].data());
       } else {
         per_group[i] = ops_->aggregate_streaming(p.query->agg, *p.index,
                                                  p.mask, p.view, nullptr);

@@ -13,12 +13,13 @@
 ///
 ///  1. **Compile** — one sequential pass over the batch resolves every
 ///     candidate to the set of artifacts it needs (group index, training-row
-///     map, predicate/conjunction bitsets, numeric value view, bucket
-///     materialization), deduplicating requests across candidates and
-///     looking up what the ArtifactStore already holds. The result is a
+///     map, predicate/conjunction bitsets, numeric value view, value order,
+///     bucket materialization), deduplicating requests across candidates
+///     and looking up what the ArtifactStore already holds. The result is a
 ///     three-stage dependency DAG: conjunction masks depend on their
 ///     constituent predicate masks, training-row maps on their group index,
-///     and materializations on group index + mask + view.
+///     value orders on group index + view, and materializations on group
+///     index + mask + view.
 ///
 ///     Per-candidate resolution is **memoized across batches**: the first
 ///     time a candidate content key (AggQuery::CacheKey) is seen, its
@@ -40,8 +41,10 @@
 ///     (stage C) split further into row chunks of about 32k rows: every
 ///     (bucket, chunk) tallies its rows in parallel, the calling thread
 ///     lays each bucket out and allocates its flat array, and every chunk
-///     fills its part in parallel. Publish order is request order, so the
-///     store's contents — and every downstream byte — are identical at
+///     fills its part in parallel. Value orders (also stage C) group their
+///     rows in one task each beside the tallies and sort group ranges of
+///     about 16k rows beside the fills. Publish order is request order, so
+///     the store's contents — and every downstream byte — are identical at
 ///     every thread and chunk count.
 ///
 ///  3. **Fan-out (parallel)** — each candidate's per-group aggregate (the
@@ -49,8 +52,9 @@
 ///     training-row map: pure functions over published const artifacts
 ///     writing pre-sized output slots. The aggregates run as items on the
 ///     pool — a streaming candidate is one item, a materialized candidate
-///     one item per group range of about 8k flat values — so one slow
-///     candidate no longer holds up a small pool.
+///     one item per group range of about 8k flat values, an order statistic
+///     one per group range of about 8k rows of its value order — so one
+///     slow candidate no longer holds up a small pool.
 ///
 /// EvaluateMany, EvaluateManyIsolated and ComputeFeatureColumn are thin
 /// shells over one evaluate body; they differ only in the failure contract
@@ -184,9 +188,11 @@ class QueryPlanner {
 
   /// Evaluates N candidates in one call, returning N feature columns.
   /// Candidates sharing group keys reuse one GroupIndex; predicates repeated
-  /// across candidates hit the mask shard; candidates differing only in agg
-  /// function share one bucket materialization; artifact builds and the
-  /// per-candidate kernels both run on the configured ThreadPool.
+  /// across candidates hit the mask shard; order statistics (COUNT_DISTINCT,
+  /// ENTROPY, MODE, MAD, MEDIAN) over one (group keys, attribute) pair share
+  /// one value order whatever their predicates; other candidates differing
+  /// only in agg function share one bucket materialization; artifact builds
+  /// and the per-candidate kernels both run on the configured ThreadPool.
   ///
   /// Fail-fast contract: any candidate failing to compile or build fails
   /// the whole batch (the store still keeps every artifact that did publish,
@@ -260,6 +266,8 @@ class QueryPlanner {
     size_t mask_requests = 0;
     size_t conjunction_requests = 0;
     size_t view_requests = 0;
+    /// ValueOrders the batch's order statistics read (cached or built).
+    size_t order_requests = 0;
     size_t mat_requests = 0;
     /// Artifact builds actually executed (requests that missed the store).
     size_t builds_run = 0;
@@ -279,7 +287,8 @@ class QueryPlanner {
     /// task; an empty-selection bucket is none.
     size_t mat_build_tasks = 0;
     /// Fan-out kernel items: one per streaming candidate, one per group
-    /// range (about 8k flat values) of a materialized candidate.
+    /// range (about 8k flat values or value-order rows) of a materialized
+    /// or order-statistic candidate.
     size_t kernel_tasks = 0;
     /// Morsels processed when the batch ran the out-of-core pipeline (0 on
     /// the in-RAM path; see last_morsel_stats() for the full breakdown).
@@ -328,6 +337,8 @@ class QueryPlanner {
     std::string combo_key;
     /// Bucket key (group keys + agg attribute + predicates).
     std::string bucket_key;
+    /// ValueOrder key (group keys + agg attribute).
+    std::string order_key;
   };
 
   /// Looks up / derives the compiled shape of `q` (validating on a miss)
@@ -355,8 +366,9 @@ class QueryPlanner {
   /// PlannedCandidate per query. A null `training` plans ExecuteAggQuery's
   /// grouped result: no training-row maps are built, and candidates always
   /// take the streaming path (view instead of bucket materialization).
-  /// Otherwise streaming-family aggregates materialize only when several
-  /// candidates of the batch share their bucket.
+  /// Otherwise order statistics read their pair's value order, KURTOSIS
+  /// materializes its bucket, and streaming-family aggregates materialize
+  /// only when several candidates of the batch share their bucket.
   ///
   /// `slot_errors` selects the failure contract: nullptr is fail-fast (the
   /// first compile or build error fails the call); non-null must be sized

@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "query/aggregate.h"
@@ -119,6 +124,89 @@ TEST(AggregateTest, CategoricalSupportMatrix) {
   EXPECT_TRUE(SupportsCategorical(AggFunction::kMode));
   EXPECT_FALSE(SupportsCategorical(AggFunction::kSum));
   EXPECT_FALSE(SupportsCategorical(AggFunction::kMedian));
+}
+
+// ---------------------------------------------------------------------------
+// The IEEE total order: -0.0 sorts before +0.0, so an order statistic's
+// result — down to a zero's sign — never depends on how its input is
+// arranged.
+// ---------------------------------------------------------------------------
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+TEST(AggregateTest, TotalOrderKeyOrdersSignedZerosAndInfinities) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> ascending = {-inf, -2.5, -1e-300, -0.0,
+                                         0.0,  1e-300, 2.5,   inf};
+  for (size_t i = 0; i + 1 < ascending.size(); ++i) {
+    EXPECT_LT(TotalOrderKey(ascending[i]), TotalOrderKey(ascending[i + 1]))
+        << ascending[i] << " vs " << ascending[i + 1];
+  }
+}
+
+TEST(AggregateTest, SignedZerosGiveTheSameBitsUnderEveryShuffle) {
+  struct Case {
+    AggFunction fn;
+    std::vector<double> values;
+    double expected;
+  };
+  const std::vector<Case> cases = {
+      // One run of four zeros; MODE returns its largest member.
+      {AggFunction::kMode, {-0.0, 0.0, 0.0, -0.0}, 0.0},
+      {AggFunction::kMode, {-0.0, -0.0, -0.0}, -0.0},
+      // Tied runs break toward the smaller: the zeros (a run of three).
+      {AggFunction::kMode, {-0.0, 0.0, 3.0, -0.0, 3.0, 3.0}, 0.0},
+      {AggFunction::kMedian, {-0.0, -0.0, 0.0}, -0.0},
+      {AggFunction::kMedian, {-0.0, 0.0, 0.0}, 0.0},
+      // Even counts average the two middle members: -0 + -0 keeps the sign.
+      {AggFunction::kMedian, {-0.0, -0.0, -0.0, 0.0}, -0.0},
+      {AggFunction::kMedian, {-0.0, -0.0, 0.0, 0.0}, 0.0},
+      {AggFunction::kMedian, {-1.0, -0.0, 0.0, 0.0, 2.0}, 0.0},
+      {AggFunction::kMad, {-0.0, 0.0, 0.0, -0.0, 2.0}, 0.0},
+      {AggFunction::kMad, {-0.0, -0.0, 0.0, -3.0, 3.0}, 0.0},
+      {AggFunction::kMad, {-0.0, 0.0, -2.0, 2.0}, 1.0},
+  };
+  for (const Case& c : cases) {
+    std::vector<double> sorted = c.values;
+    std::sort(sorted.begin(), sorted.end(), [](double a, double b) {
+      return TotalOrderKey(a) < TotalOrderKey(b);
+    });
+    const std::string context = std::string(AggFunctionName(c.fn)) + " of " +
+                                std::to_string(c.values.size()) + " values";
+    EXPECT_EQ(Bits(AggregateSortedSlice(c.fn, sorted.data(), sorted.size())),
+              Bits(c.expected))
+        << context;
+    std::vector<double> shuffled = c.values;
+    for (uint64_t seed = 1; seed <= 200; ++seed) {
+      Rng rng(seed);
+      rng.Shuffle(&shuffled);
+      ASSERT_EQ(Bits(ComputeAggregate(c.fn, shuffled)), Bits(c.expected))
+          << context << ", shuffle seed " << seed;
+    }
+  }
+}
+
+TEST(AggregateTest, SignedZerosAreOneValueToRunScans) {
+  // -0.0 == +0.0: one distinct value, one run for ENTROPY.
+  const std::vector<double> zeros = {0.0, -0.0, 0.0, -0.0, 1.0};
+  EXPECT_DOUBLE_EQ(ComputeAggregate(AggFunction::kCountDistinct, zeros), 2.0);
+  EXPECT_DOUBLE_EQ(ComputeAggregate(AggFunction::kEntropy, zeros),
+                   ComputeAggregate(AggFunction::kEntropy,
+                                    {0.0, 0.0, 0.0, 0.0, 1.0}));
+  // An empty slice: COUNT_DISTINCT 0, every other order statistic NaN.
+  for (AggFunction fn : AllAggFunctions()) {
+    if (!IsOrderStatistic(fn)) continue;
+    const double v = AggregateSortedSlice(fn, nullptr, 0);
+    if (fn == AggFunction::kCountDistinct) {
+      EXPECT_EQ(v, 0.0);
+    } else {
+      EXPECT_TRUE(std::isnan(v)) << AggFunctionName(fn);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

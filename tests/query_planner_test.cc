@@ -183,11 +183,13 @@ TEST(QueryPlannerTest, SingletonStreamingCandidateSkipsMaterialization) {
                                           tables.training, tables.relevant);
   ASSERT_TRUE(one.ok());
   EXPECT_EQ(planner.store().num_materializations(), 0u);
-  // An order-statistic aggregate must materialize even alone.
+  // An order-statistic aggregate reads its pair's value order, alone or
+  // not: one ValueOrder build, still no materialization.
   auto med = planner.ComputeFeatureColumn(MakeQuery(AggFunction::kMedian, {}),
                                           tables.training, tables.relevant);
   ASSERT_TRUE(med.ok());
-  EXPECT_EQ(planner.store().num_materializations(), 1u);
+  EXPECT_EQ(planner.store().num_materializations(), 0u);
+  EXPECT_EQ(planner.store().num_order_builds(), 1u);
 }
 
 // --- Publish-once under concurrent builds ------------------------------------
@@ -512,10 +514,11 @@ Pair MakeMultiChunkPair() {
   return out;
 }
 
-// A lone MEDIAN (one materialized candidate) and a mixed pool of eight (a
-// shared bucket of six, two streaming singletons) over a multi-chunk table:
-// the bucket builds run as several chunk tasks, the materialized candidates
-// as several group-range items, and the columns are byte-identical at every
+// A lone MEDIAN (one order-statistic candidate) and a mixed pool of eight
+// (four order statistics over one ValueOrder, a shared bucket of two, two
+// streaming singletons) over a multi-chunk table: the bucket builds run as
+// several chunk tasks, the order-statistic and materialized candidates as
+// several group-range items, and the columns are byte-identical at every
 // thread count — equal to the 1-thread run and to the morsel pipeline,
 // which splits nothing.
 TEST(QueryPlannerTest, SplitCandidatesAreByteIdenticalAcrossThreadCounts) {
@@ -553,11 +556,14 @@ TEST(QueryPlannerTest, SplitCandidatesAreByteIdenticalAcrossThreadCounts) {
           planner.EvaluateMany(*queries, tables.training, tables.relevant);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       const QueryPlanner::PlanStats& stats = planner.last_plan_stats();
-      EXPECT_EQ(stats.mat_requests, 1u) << ctx;
-      // 70001 rows over 40 groups build in three chunks; the buckets hold
-      // about 56k (lone) and 19k (mixed) values, so every materialized
-      // candidate splits into several group ranges.
-      EXPECT_EQ(stats.mat_build_tasks, 3u) << ctx;
+      // Order statistics read the one ValueOrder and request no bucket;
+      // the mixed pool's MIN and KURTOSIS share one.
+      EXPECT_EQ(stats.order_requests, 1u) << ctx;
+      EXPECT_EQ(stats.mat_requests, queries == &lone ? 0u : 1u) << ctx;
+      // 70001 rows over 40 groups build in three chunks; the bucket holds
+      // about 19k values and every order statistic walks all 70001 rows,
+      // so every such candidate splits into several group ranges.
+      EXPECT_EQ(stats.mat_build_tasks, queries == &lone ? 0u : 3u) << ctx;
       EXPECT_GE(stats.kernel_tasks, 2 * n_mat + queries->size() - n_mat)
           << ctx;
       if (!one_thread) one_thread = result.value();
