@@ -208,7 +208,7 @@ std::unique_ptr<FittedAugmenter> MakeWarmHandle(
 }
 
 // The cross-batch plan-cache comparison: a fresh planner per batch re-pays
-// every group-index / mask / view / materialization build (the cost model
+// every group-index / mask / view / value-order build (the cost model
 // of the pre-handle Apply path), while the warm FittedAugmenter only binds
 // the batch's training-row maps and runs kernels. Arg(0): 0 = cold, 1 = warm.
 void BM_TransformWarmVsCold(benchmark::State& state) {
@@ -458,21 +458,21 @@ BENCHMARK(BM_FlattenRelevant)->Arg(1000)->Arg(5000);
 // the speedup record's kernel_* fields): the golden template's group index
 // and compiled filter, a dense ~95% row mask, and the agg attribute's
 // numeric view — the dense-mask shapes the vectorized backend targets
-// (compare+movemask predicate evaluation, run-decoded streaming
-// aggregation, aligned bucket materialization + slice MIN/MAX).
+// (compare+movemask predicate evaluation, run- and segment-decoded
+// streaming aggregation).
 struct KernelBenchInputs {
   const GroupIndex* index = nullptr;         // golden keys: many small groups
-  const GroupIndex* coarse_index = nullptr;  // coarse key: few long slices
+  const GroupIndex* coarse_index = nullptr;  // coarse key: few long groups
   const CompiledFilter* filter = nullptr;
   Bitset dense_mask;
   std::vector<double> view;
   size_t n_rows = 0;
 };
 
-// Picks a low-cardinality group key for the long-slice materialized shape:
-// the golden keys give entity-grained groups (slices of ~avg_logs rows),
-// while template pools also group by coarse attributes whose slices span
-// thousands of rows — where the aligned slice MIN/MAX vector loop engages.
+// Picks a low-cardinality group key for the long-group shape: the golden
+// keys give entity-grained groups (~avg_logs rows each), while template
+// pools also group by coarse attributes whose groups span thousands of
+// rows.
 std::vector<std::string> CoarseGroupKeys(const DatasetBundle& b) {
   for (const char* name : {"weekday", "order_dow", "hour"}) {
     if (b.relevant.HasColumn(name)) return {name};
@@ -515,16 +515,14 @@ const KernelBenchInputs& KernelBenchFixture() {
 struct KernelCompositeOut {
   Bitset mask;
   std::vector<uint32_t> first_selected;
-  std::vector<double> count, sum;
-  MaterializedValues mat;
-  std::vector<double> mn, mx;
+  std::vector<double> count, sum, mn, mx;
 };
 
 // One pass of the dense-mask kernel workload through a backend table:
 // fused predicate->mask evaluation, streaming COUNT (first-selected-row
-// tracking) and SUM, bucket materialization, and slice MIN/MAX — every
-// entry point the planner dispatches through except the training-row
-// scatter (timed end-to-end by the EvaluateMany arms above).
+// tracking) and SUM over the golden keys, and streaming MIN/MAX over the
+// coarse key — every entry point the planner dispatches through except the
+// training-row scatter (timed end-to-end by the EvaluateMany arms above).
 KernelCompositeOut RunKernelComposite(const KernelOps& ops) {
   const KernelBenchInputs& in = KernelBenchFixture();
   KernelCompositeOut out;
@@ -535,15 +533,10 @@ KernelCompositeOut RunKernelComposite(const KernelOps& ops) {
                                       &out.first_selected);
   out.sum = ops.aggregate_streaming(AggFunction::kSum, *in.index,
                                     &in.dense_mask, in.view.data(), nullptr);
-  out.mat = BuildMaterializedValues(ops, *in.coarse_index, &in.dense_mask,
-                                    in.view.data());
-  const size_t n_groups = out.mat.present.size();
-  out.mn.resize(n_groups);
-  out.mx.resize(n_groups);
-  ops.aggregate_from_materialized(AggFunction::kMin, out.mat, 0, n_groups,
-                                  out.mn.data());
-  ops.aggregate_from_materialized(AggFunction::kMax, out.mat, 0, n_groups,
-                                  out.mx.data());
+  out.mn = ops.aggregate_streaming(AggFunction::kMin, *in.coarse_index,
+                                   &in.dense_mask, in.view.data(), nullptr);
+  out.mx = ops.aggregate_streaming(AggFunction::kMax, *in.coarse_index,
+                                   &in.dense_mask, in.view.data(), nullptr);
   return out;
 }
 
@@ -585,13 +578,6 @@ static bool KernelOutputsBitIdentical(const KernelCompositeOut& a,
     return false;
   }
   if (a.first_selected != b.first_selected) return false;
-  if (a.mat.present != b.mat.present || a.mat.offsets != b.mat.offsets)
-    return false;
-  if (a.mat.flat.size() != b.mat.flat.size() ||
-      std::memcmp(a.mat.flat.data(), b.mat.flat.data(),
-                  a.mat.flat.size() * sizeof(double)) != 0) {
-    return false;
-  }
   return ColumnsBitIdentical(a.count, b.count) &&
          ColumnsBitIdentical(a.sum, b.sum) && ColumnsBitIdentical(a.mn, b.mn) &&
          ColumnsBitIdentical(a.mx, b.mx);
@@ -703,8 +689,8 @@ int WriteExecutorSpeedupRecord(const char* path,
   const double bytemask_and_seconds = timer.Seconds() / kAndReps;
 
   // Scalar vs simd kernel backend on the dense-mask composite workload
-  // (fused predicate->mask, run-decoded streaming aggregation, aligned
-  // bucket materialization + slice MIN/MAX). Outputs are verified
+  // (fused predicate->mask, run- and segment-decoded streaming COUNT/SUM
+  // and MIN/MAX). Outputs are verified
   // byte-identical first — the backend contract — then best-of-k
   // interleaved repeats cancel drift, exactly as the ExecContext arms.
   double kernel_scalar_seconds = 0.0, kernel_simd_seconds = 0.0;
@@ -1133,7 +1119,7 @@ int WriteExecutorSpeedupRecord(const char* path,
       .Add("parallel_speedup_max_threads_vs_1",
            max_threads_seconds > 0.0 ? batched_seconds / max_threads_seconds
                                      : 0.0)
-      // Artifact builds (group index, masks, views, materializations) now
+      // Artifact builds (group index, masks, views, value orders) now
       // fan out on the pool too; this isolates the prepare-phase scaling.
       .Add("prepare_parallel", true)
       .Add("prepare_parallel_speedup_max_threads_vs_1",

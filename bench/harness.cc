@@ -43,7 +43,11 @@ bool ParseBenchArgs(int argc, char** argv, BenchConfig* config) {
       std::fprintf(stderr,
                    "usage: %s [--rows=N] [--logs=X] [--repeats=N] [--seed=N]\n"
                    "          [--features=N] [--fast] [--datasets=a,b]\n"
-                   "          [--models=LR,XGB,RF,DeepFM]\n",
+                   "          [--models=LR,XGB,RF,DeepFM]\n"
+                   "  --fast  smoke mode: at most 700 rows and a trimmed\n"
+                   "          search. Every method scores near AUC 0.5 there,\n"
+                   "          so it checks that a run completes, not the\n"
+                   "          paper's result.\n",
                    argv[0]);
       return false;
     }

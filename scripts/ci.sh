@@ -97,10 +97,11 @@ for field in ("exec_context_overhead", "checkpoint_overhead"):
 if not record["checkpoint_plan_identical"]:
     sys.exit("ci.sh: durable fit's plan diverged from the plain fit's")
 # Kernel backend: the simd table must be byte-identical to the scalar
-# oracle on the composite dense-mask workload, and on hosts where a vector
-# ISA engaged it must actually pay (>= 1.5x on the composite; ISA-less
-# hosts run the same run-decoded loops on both sides, so only identity is
-# gated there).
+# oracle on the composite dense-mask workload (predicate->mask evaluation,
+# streamed COUNT/SUM over entity keys and MIN/MAX over a coarse key), and
+# on hosts where a vector ISA engaged it must actually pay (>= 1.5x on the
+# composite; ISA-less hosts run the same run-decoded loops on both sides,
+# so only identity is gated there).
 if not record["kernel_simd_bit_identical"]:
     sys.exit("ci.sh: simd kernel outputs diverged from the scalar oracle")
 level = record["kernel_dispatch_level"]
@@ -182,18 +183,23 @@ FEATLIB_FAULT_SWEEP_SEEDS="${FEATLIB_FAULT_SWEEP_SEEDS:-16}" \
 FEATLIB_FAULT_PROB="${FEATLIB_FAULT_PROB:-0.08}" \
   "$ROOT/build/fault_sweep_test"
 
-# ---- CSV mutation sweep: single-pass reader vs the two-pass oracle ----------
-# (csv_test's CsvMutationSweep inserts, deletes and replaces bytes drawn from
-# the CSV-significant alphabet in a small corpus; every mutated input must
-# read byte-identically to tests/csv_oracle.h — same Table or same Status —
-# and never crash. Seeds rotate with the date like the fault sweep's; the
-# ASan/UBSan build below reruns the same seed, guarding the reader's
-# string_views into its buffer.)
-CSV_FUZZ_SEED="${FEATLIB_CSV_FUZZ_SEED:-$(( $(date +%s) / 86400 ))}"
-CSV_FUZZ_ITERS="${FEATLIB_CSV_FUZZ_ITERS:-50000}"
-echo "ci.sh: csv mutation sweep seed $CSV_FUZZ_SEED ($CSV_FUZZ_ITERS inputs)"
-FEATLIB_CSV_FUZZ_SEED="$CSV_FUZZ_SEED" FEATLIB_CSV_FUZZ_ITERS="$CSV_FUZZ_ITERS" \
+# ---- Parser mutation sweeps: CSV reader and SQL parser ----------------------
+# (Both sweeps insert, delete and replace tokens of their dialect in a small
+# corpus through the one edit loop of tests/mutation.h. csv_test's
+# CsvMutationSweep requires every mutated input to read byte-identically to
+# tests/csv_oracle.h — same Table or same Status. sql_parser_test's
+# SqlMutationSweep requires every input to parse or fail with a Status, with
+# and without a schema and as a script, and every query that parses to reach
+# the ToSql fixed point. Neither may crash. Seeds rotate with the date like
+# the fault sweep's; the ASan/UBSan build below reruns the same seed,
+# guarding the readers' views into their input.)
+FUZZ_SEED="${FEATLIB_FUZZ_SEED:-$(( $(date +%s) / 86400 ))}"
+FUZZ_ITERS="${FEATLIB_FUZZ_ITERS:-50000}"
+echo "ci.sh: parser mutation sweeps seed $FUZZ_SEED ($FUZZ_ITERS inputs each)"
+FEATLIB_FUZZ_SEED="$FUZZ_SEED" FEATLIB_FUZZ_ITERS="$FUZZ_ITERS" \
   "$ROOT/build/csv_test" --gtest_filter='CsvMutationSweep.*'
+FEATLIB_FUZZ_SEED="$FUZZ_SEED" FEATLIB_FUZZ_ITERS="$FUZZ_ITERS" \
+  "$ROOT/build/sql_parser_test" --gtest_filter='SqlMutationSweep.*'
 
 # ---- Kill-resume sweep: durable fit crash-safety invariant ------------------
 # (checkpoint_sweep_test kills a checkpointed fit at injected crash points
@@ -220,16 +226,18 @@ cmake -B "$ROOT/build-asan" -S "$ROOT" \
   -DFEATLIB_BUILD_EXAMPLES=OFF
 cmake --build "$ROOT/build-asan" -j "$JOBS"
 ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS"
-# The vectorized kernels do word-granular loads/stores around mask tails
-# and aligned flat buffers; pin both backends under ASan/UBSan so an
-# out-of-bounds lane or misaligned assumption cannot hide behind dispatch.
+# The vectorized kernels do word-granular loads/stores around mask tails;
+# pin both backends under ASan/UBSan so an out-of-bounds lane cannot hide
+# behind dispatch.
 for backend in scalar simd; do
   FEATLIB_KERNEL_BACKEND="$backend" "$ROOT/build-asan/kernel_dispatch_test"
   FEATLIB_KERNEL_BACKEND="$backend" "$ROOT/build-asan/executor_golden_test"
   FEATLIB_KERNEL_BACKEND="$backend" "$ROOT/build-asan/value_order_test"
 done
-FEATLIB_CSV_FUZZ_SEED="$CSV_FUZZ_SEED" FEATLIB_CSV_FUZZ_ITERS="$CSV_FUZZ_ITERS" \
+FEATLIB_FUZZ_SEED="$FUZZ_SEED" FEATLIB_FUZZ_ITERS="$FUZZ_ITERS" \
   "$ROOT/build-asan/csv_test" --gtest_filter='CsvMutationSweep.*'
+FEATLIB_FUZZ_SEED="$FUZZ_SEED" FEATLIB_FUZZ_ITERS="$FUZZ_ITERS" \
+  "$ROOT/build-asan/sql_parser_test" --gtest_filter='SqlMutationSweep.*'
 
 # ---- TSan: planner / store / executor / serving concurrency tests ----------
 # (Benches/examples are skipped: TSan only needs the threaded paths, and the
@@ -249,13 +257,11 @@ FEATLIB_CSV_FUZZ_SEED="$CSV_FUZZ_SEED" FEATLIB_CSV_FUZZ_ITERS="$CSV_FUZZ_ITERS" 
 # morsel_test pins the out-of-core pipeline: the pool's per-candidate
 # combine fan-out reading one morsel's shared artifacts while each task
 # writes only its own accumulator.
-# query_planner_test and kernel_dispatch_test split one candidate's work
-# across the pool: row-chunk tally/fill tasks of one bucket build write
-# disjoint slices of the same flat array, and group-range kernel items of
-# one candidate write disjoint ranges of its shared per-group buffer.
-# value_order_test does the same for value orders: one grouping task and
-# group-range sort tasks per build, then group-range kernel items per
-# order-statistic candidate.
+# query_planner_test and value_order_test split one candidate's work across
+# the pool: one grouping task and group-range sort tasks per value-order
+# build write disjoint ranges of the same arrays, then group-range kernel
+# items of one order-statistic candidate write disjoint ranges of its
+# shared per-group buffer.
 # serving_concurrency_test runs concurrent Transform calls on one handle:
 # each maps its batch and scatters the shared frozen per-group values, with
 # no aggregation and no shared mutable state.)

@@ -26,14 +26,6 @@ const ValueOrder* ArtifactStore::FindOrder(const std::string& key) {
   return it == order_shard_.end() ? nullptr : &it->second;
 }
 
-const MaterializedValues* ArtifactStore::FindMaterialized(
-    const std::string& key) {
-  auto it = mat_shard_.find(key);
-  if (it == mat_shard_.end()) return nullptr;
-  it->second.used_epoch = epoch_;
-  return &it->second.values;
-}
-
 ArtifactStore::GroupArtifact* ArtifactStore::PublishGroup(
     const std::string& key, GroupIndex index) {
   ++group_builds_;
@@ -75,16 +67,6 @@ const ValueOrder* ArtifactStore::PublishOrder(const std::string& key,
   return &order_shard_.emplace(key, std::move(order)).first->second;
 }
 
-const MaterializedValues* ArtifactStore::PublishMaterialized(
-    const std::string& key, MaterializedValues values) {
-  ++materializations_;
-  const size_t bytes = values.SizeBytes();
-  EvictMaterializedFor(bytes);
-  mat_bytes_ += bytes;
-  MatEntry entry{std::move(values), bytes, epoch_};
-  return &mat_shard_.emplace(key, std::move(entry)).first->second.values;
-}
-
 void ArtifactStore::EvictMasksFor(size_t incoming) {
   if (mask_bytes_ + incoming <= mask_cap_bytes_) return;
   // Evict only entries no candidate of the current batch referenced: the
@@ -100,20 +82,6 @@ void ArtifactStore::EvictMasksFor(size_t incoming) {
     }
     mask_bytes_ -= it->second.bits.SizeBytes();
     it = mask_shard_.erase(it);
-    ++num_evictions_;
-  }
-}
-
-void ArtifactStore::EvictMaterializedFor(size_t incoming) {
-  if (mat_bytes_ + incoming <= mat_cap_bytes_) return;
-  for (auto it = mat_shard_.begin(); it != mat_shard_.end();) {
-    if (mat_bytes_ + incoming <= mat_cap_bytes_) return;
-    if (it->second.used_epoch == epoch_) {
-      ++it;
-      continue;
-    }
-    mat_bytes_ -= it->second.bytes;
-    it = mat_shard_.erase(it);
     ++num_evictions_;
   }
 }

@@ -4,8 +4,8 @@
 /// \brief Sharded cache of the shared artifacts the candidate-evaluation
 /// planner reuses across candidates and batches.
 ///
-/// Middle layer of the planner / store / kernel split. The store holds five
-/// kind-shards, each with its own map, byte accounting, and eviction policy:
+/// Middle layer of the planner / store / kernel split. The store holds four
+/// kind-shards, each with its own map and eviction policy:
 ///
 ///   - group shard:  GroupIndex + training-row map per group-key set
 ///                   (never evicted: one per key set, tiny, reused forever),
@@ -15,9 +15,7 @@
 ///                   (never evicted: one per column),
 ///   - order shard:  value-sorted row permutations (ValueOrder) per
 ///                   (group keys, agg attribute) pair, read by every order
-///                   statistic over the pair (never evicted: one per pair),
-///   - mat shard:    bucket materializations per (group keys, predicates,
-///                   agg attribute) bucket (byte-capped).
+///                   statistic over the pair (never evicted: one per pair).
 ///
 /// **Build-then-publish ownership.** The store itself never constructs an
 /// artifact. The planner looks artifacts up (Find*), builds the missing ones
@@ -30,11 +28,11 @@
 /// erases an entry the current batch referenced.
 ///
 /// **Epoch pinning.** BeginEpoch() opens a batch; every Find hit and every
-/// Publish stamps the entry with the current epoch. When a byte-capped shard
-/// overflows, only entries from *older* epochs are evicted, so pointers held
-/// by in-flight PlannedCandidates stay valid and a running batch can never
-/// thrash its own working set (the shard may temporarily exceed its cap
-/// instead).
+/// Publish stamps the entry with the current epoch. When the byte-capped
+/// mask shard overflows, only entries from *older* epochs are evicted, so
+/// pointers held by in-flight PlannedCandidates stay valid and a running
+/// batch can never thrash its own working set (the shard may temporarily
+/// exceed its cap instead).
 ///
 /// Thread-compatibility: Find/Publish/BeginEpoch must be called from one
 /// thread at a time (the planner's coordinator thread); published artifacts
@@ -80,13 +78,12 @@ class ArtifactStore {
   const Bitset* FindMask(const std::string& key);
   const std::vector<double>* FindView(const std::string& attr);
   const ValueOrder* FindOrder(const std::string& key);
-  const MaterializedValues* FindMaterialized(const std::string& key);
   /// @}
 
   /// \name Publish (coordinator thread, after the build completed).
-  /// Returns the stable store-owned pointer. Byte-capped shards evict
-  /// unpinned entries first; `is_conjunction` separates the single-predicate
-  /// and conjunction build counters.
+  /// Returns the stable store-owned pointer. The byte-capped mask shard
+  /// evicts unpinned entries first; `is_conjunction` separates the
+  /// single-predicate and conjunction build counters.
   /// @{
   GroupArtifact* PublishGroup(const std::string& key, GroupIndex index);
   /// Attaches/overwrites the training-row map of a published group artifact,
@@ -98,15 +95,10 @@ class ArtifactStore {
   const std::vector<double>* PublishView(const std::string& attr,
                                          std::vector<double> view);
   const ValueOrder* PublishOrder(const std::string& key, ValueOrder order);
-  const MaterializedValues* PublishMaterialized(const std::string& key,
-                                                MaterializedValues values);
   /// @}
 
-  /// \name Shard caps (tests shrink them to force eviction).
-  /// @{
+  /// Mask shard cap (tests shrink it to force eviction).
   void set_mask_cache_cap_bytes(size_t cap) { mask_cap_bytes_ = cap; }
-  void set_mat_cache_cap_bytes(size_t cap) { mat_cap_bytes_ = cap; }
-  /// @}
 
   /// \name Introspection (tests and benches).
   /// @{
@@ -117,12 +109,10 @@ class ArtifactStore {
   size_t num_conjunction_builds() const { return conjunction_builds_; }
   size_t num_view_builds() const { return view_builds_; }
   size_t num_order_builds() const { return order_builds_; }
-  size_t num_materializations() const { return materializations_; }
-  /// Entries evicted so far (mask + mat shards). Entries referenced by the
-  /// current batch are pinned and never evicted mid-batch.
+  /// Mask-shard entries evicted so far. Entries referenced by the current
+  /// batch are pinned and never evicted mid-batch.
   size_t num_evictions() const { return num_evictions_; }
   size_t mask_cache_bytes() const { return mask_bytes_; }
-  size_t mat_cache_bytes() const { return mat_bytes_; }
   uint64_t epoch() const { return epoch_; }
   /// @}
 
@@ -131,18 +121,12 @@ class ArtifactStore {
     Bitset bits;
     uint64_t used_epoch = 0;  // == epoch_ => pinned by the current batch
   };
-  struct MatEntry {
-    MaterializedValues values;
-    size_t bytes = 0;
-    uint64_t used_epoch = 0;
-  };
 
   /// Evict unpinned (not used this epoch) mask-shard entries until
   /// `incoming` more bytes fit under the cap, or only pinned entries remain
   /// (the shard may then temporarily exceed the cap rather than thrash the
   /// running batch).
   void EvictMasksFor(size_t incoming);
-  void EvictMaterializedFor(size_t incoming);
 
   std::unordered_map<std::string, GroupArtifact> group_shard_;
   std::unordered_map<std::string, MaskEntry> mask_shard_;
@@ -150,9 +134,6 @@ class ArtifactStore {
   size_t mask_cap_bytes_ = 64u << 20;
   std::unordered_map<std::string, std::vector<double>> view_shard_;
   std::unordered_map<std::string, ValueOrder> order_shard_;
-  std::unordered_map<std::string, MatEntry> mat_shard_;
-  size_t mat_bytes_ = 0;
-  size_t mat_cap_bytes_ = 128u << 20;
 
   /// Bumped at every BeginEpoch; hits and publishes stamp their entry, so
   /// "used_epoch == epoch_" marks entries the in-flight batch depends on.
@@ -164,7 +145,6 @@ class ArtifactStore {
   size_t conjunction_builds_ = 0;
   size_t view_builds_ = 0;
   size_t order_builds_ = 0;
-  size_t materializations_ = 0;
   size_t num_evictions_ = 0;
 };
 

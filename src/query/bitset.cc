@@ -19,30 +19,6 @@ void Bitset::AndWith(const Bitset& other) {
   }
 }
 
-size_t Bitset::AndWithCount(const Bitset& other) {
-  const size_t n_words = words_.size();
-  const uint64_t* rhs = other.words_.data();
-  uint64_t* lhs = words_.data();
-  size_t count = 0;
-  for (size_t w = 0; w < n_words; ++w) {
-    const uint64_t v = lhs[w] & rhs[w];
-    lhs[w] = v;
-    count += static_cast<size_t>(std::popcount(v));
-  }
-  return count;
-}
-
-size_t Bitset::AndCount(const Bitset& other) const {
-  const size_t n_words = words_.size();
-  const uint64_t* rhs = other.words_.data();
-  const uint64_t* lhs = words_.data();
-  size_t count = 0;
-  for (size_t w = 0; w < n_words; ++w) {
-    count += static_cast<size_t>(std::popcount(lhs[w] & rhs[w]));
-  }
-  return count;
-}
-
 size_t Bitset::Count() const {
   size_t count = 0;
   for (uint64_t w : words_) {

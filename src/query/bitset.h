@@ -60,14 +60,6 @@ class Bitset {
   /// (AND can only clear bits).
   void AndWith(const Bitset& other);
 
-  /// Fused this &= other with the popcount of the result computed in the
-  /// same pass — the conjunction-build kernel (no second scan, no temporary).
-  size_t AndWithCount(const Bitset& other);
-
-  /// popcount(this & other) without materializing the AND — the
-  /// empty-conjunction probe.
-  size_t AndCount(const Bitset& other) const;
-
   /// Number of set bits (per-word popcount).
   size_t Count() const;
 

@@ -51,26 +51,9 @@ const KernelOps& ScalarKernelOps() {
       /*level=*/SimdLevel::kScalarOnly,
       /*aggregate_streaming=*/&AggregateStreaming<RowSpans>,
       /*absorb=*/&AbsorbRows<RowSpans>,
-      /*aggregate_from_materialized=*/&AggregateFromMaterialized,
-      /*tally_materialized=*/&TallyMaterialized<RowSpans>,
-      /*fill_materialized=*/&FillMaterialized<RowSpans>,
       /*build_filter_mask=*/&ScalarBuildFilterMask,
   };
   return ops;
-}
-
-MaterializedValues BuildMaterializedValues(const KernelOps& ops,
-                                           const GroupIndex& index,
-                                           const Bitset* mask,
-                                           const double* view) {
-  const size_t n_groups = index.num_groups();
-  std::vector<MaterializeChunk> chunks;
-  chunks.emplace_back(0, index.num_rows(), n_groups);
-  ops.tally_materialized(index, mask, view, &chunks[0]);
-  MaterializedValues m;
-  LayoutMaterialized(chunks, n_groups, &m);
-  ops.fill_materialized(index, mask, view, &chunks[0], m.flat.data());
-  return m;
 }
 
 const KernelOps& KernelOpsFor(KernelBackend backend) {

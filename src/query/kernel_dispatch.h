@@ -9,11 +9,10 @@
 /// it. This layer adds the second implementation set and the switch between
 /// them: a `KernelOps` table bundles every kernel entry point the planner
 /// and the morsel executor dispatch through — streaming aggregation,
-/// per-range absorption into a GroupAccumulator, bucket-slice aggregation
-/// over a group range, bucket materialization (a tally and a fill over a row
-/// range), and the predicate-to-mask evaluation of the prepare phase. The
-/// scatter onto training rows that ends every feature column is
-/// backend-neutral (ScatterPerGroup, query/kernels.h).
+/// per-range absorption into a GroupAccumulator, and the predicate-to-mask
+/// evaluation of the prepare phase. The order-statistic walk over a
+/// ValueOrder (AggregateFromValueOrder) and the scatter onto training rows
+/// that ends every feature column are backend-neutral (query/kernels.h).
 ///
 /// Two tables exist:
 ///   - **scalar** — the reference kernels in query/kernels.cc, the
@@ -25,14 +24,14 @@
 ///
 /// **Bit-identity contract.** Backend choice is purely a performance knob:
 /// every entry of every table must produce byte-identical output for the
-/// same inputs, at every thread count. Streaming aggregation, absorption
-/// and materialization share one implementation (query/kernels.h over the
-/// one GroupAccumulator); the tables differ only in how they iterate the
+/// same inputs, at every thread count. Streaming aggregation and absorption
+/// share one implementation (query/kernels.h over the one
+/// GroupAccumulator); the tables differ only in how they iterate the
 /// selected rows (per-bit scan vs run- and group-segment-decoded spans),
 /// which visits the same rows in the same ascending order. The remaining
-/// vectorized entries (slice MIN/MAX, mask evaluation) are
-/// order-independent and swept against the scalar oracle by
-/// tests/kernel_dispatch_test.cc and the recorded goldens.
+/// vectorized entry, mask evaluation, is order-independent and swept
+/// against the scalar oracle by tests/kernel_dispatch_test.cc and the
+/// recorded goldens.
 ///
 /// Selection order (first non-auto wins):
 ///   1. the per-planner override (QueryPlanner::set_kernel_backend),
@@ -82,19 +81,6 @@ struct KernelOps {
   /// row range (e.g. a morsel) into a candidate's accumulator.
   void (*absorb)(GroupAccumulator& acc, const uint32_t* row_groups,
                  size_t n_rows, const Bitset* mask, const double* view);
-  /// See AggregateFromMaterialized: the groups [g_begin, g_end) of a
-  /// bucket into out[g].
-  void (*aggregate_from_materialized)(AggFunction fn,
-                                      const MaterializedValues& m,
-                                      size_t g_begin, size_t g_end,
-                                      double* out);
-  /// TallyMaterialized (query/kernels.h) with this table's iteration.
-  void (*tally_materialized)(const GroupIndex& index, const Bitset* mask,
-                             const double* view, MaterializeChunk* chunk);
-  /// FillMaterialized (query/kernels.h) with this table's iteration.
-  void (*fill_materialized)(const GroupIndex& index, const Bitset* mask,
-                            const double* view, MaterializeChunk* chunk,
-                            double* flat);
   /// Evaluates the filter into `out` (pre-sized to the table, all-zero):
   /// sets exactly the bits of rows where CompiledFilter::Matches is true.
   void (*build_filter_mask)(const CompiledFilter& filter, Bitset* out);
@@ -109,14 +95,6 @@ const KernelOps& KernelOpsFor(KernelBackend backend);
 /// `override_backend` wins, else FEATLIB_KERNEL_BACKEND / FeatAugConfig,
 /// else ISA detection.
 const KernelOps& ResolveKernelOps(KernelBackend override_backend);
-
-/// A whole bucket materialization through `ops`, as one chunk: tally,
-/// layout, fill. The planner runs the same kernels over row chunks in
-/// parallel (QueryPlanner::Prepare); tests and benches use this serial form.
-MaterializedValues BuildMaterializedValues(const KernelOps& ops,
-                                           const GroupIndex& index,
-                                           const Bitset* mask,
-                                           const double* view);
 
 /// The simd table (internal: exposed for KernelOpsFor and the parity
 /// tests/bench, which pin simd-vs-scalar regardless of the environment).

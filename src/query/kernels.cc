@@ -53,33 +53,6 @@ void RadixSortByKey(KeyedRow* a, KeyedRow* tmp, size_t n) {
 
 }  // namespace
 
-void LayoutMaterialized(std::vector<MaterializeChunk>& chunks,
-                        size_t n_groups, MaterializedValues* m) {
-  m->present.assign(n_groups, 0);
-  m->offsets.assign(n_groups + 1, 0);
-  for (size_t g = 0; g < n_groups; ++g) {
-    size_t at = m->offsets[g];
-    for (MaterializeChunk& chunk : chunks) {
-      m->present[g] += chunk.present[g];
-      const size_t values = chunk.cursor[g];
-      chunk.cursor[g] = at;
-      at += values;
-    }
-    m->offsets[g + 1] = at;
-  }
-  m->flat.resize(m->offsets[n_groups]);
-}
-
-void AggregateFromMaterialized(AggFunction fn, const MaterializedValues& m,
-                               size_t g_begin, size_t g_end, double* out) {
-  for (size_t g = g_begin; g < g_end; ++g) {
-    out[g] = m.present[g] == 0
-                 ? Nan()
-                 : ComputeAggregate(fn, m.flat.data() + m.offsets[g],
-                                    m.offsets[g + 1] - m.offsets[g]);
-  }
-}
-
 void AllocateValueOrder(size_t n_rows, size_t n_groups, ValueOrder* order) {
   order->offsets.assign(n_groups + 1, 0);
   order->value_end.assign(n_groups, 0);

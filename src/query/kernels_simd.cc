@@ -9,9 +9,9 @@
 ///  - **Floating-point reductions keep scalar order.** SUM/AVG/VAR are
 ///    sequential dependence chains whose result depends on accumulation
 ///    order; re-associating them into vector lanes would change low bits.
-///    Streaming aggregation, absorption and materialization (tally + fill)
-///    are therefore the shared templates of kernels.h; this backend
-///    contributes only their *iteration* (SegmentSpans, below).
+///    Streaming aggregation and absorption are therefore the shared
+///    templates of kernels.h; this backend contributes only their
+///    *iteration* (SegmentSpans, below).
 ///  - **Mask iteration is run-decoded.** The streaming kernels' per-row cost
 ///    is dominated by per-bit scanning (countr_zero + clear-lowest) and the
 ///    grouped scatter, not arithmetic. Decoding each mask word into runs of
@@ -19,11 +19,8 @@
 ///    loops, and splitting runs into group-constant segments lets the
 ///    accumulator keep a group's state in registers — visiting exactly the
 ///    same rows in exactly the same order.
-///  - **Order-independent kernels vectorize fully**: MIN/MAX over
-///    materialized slices (lane-parallel min/max; equal doubles are
-///    bit-identical except ±0.0, fixed up by a first-occurrence rescan),
-///    and predicate compare + movemask for the prepare phase's selection
-///    masks.
+///  - **The order-independent kernel vectorizes fully**: predicate compare
+///    + movemask for the prepare phase's selection masks.
 ///
 /// ISA paths are selected at runtime (DetectedSimdLevel): AVX2 functions
 /// carry `__attribute__((target("avx2")))` so this translation unit itself
@@ -34,12 +31,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
-#include "query/aggregate.h"
 #include "query/kernel_dispatch.h"
 
 #if !defined(FEATLIB_DISABLE_SIMD) && (defined(__x86_64__) || defined(_M_X64))
@@ -56,8 +50,6 @@ namespace featlib {
 namespace {
 
 constexpr uint32_t kNoGroup = GroupIndex::kNoGroup;
-
-double Nan() { return std::nan(""); }
 
 // ---------------------------------------------------------------------------
 // Run-decoded mask iteration
@@ -189,174 +181,6 @@ class SegmentSpans {
   const Bitset* mask_;
   bool clustered_;
 };
-
-// ---------------------------------------------------------------------------
-// Slice MIN/MAX (order-independent; vector lanes + ±0.0 fix-up)
-// ---------------------------------------------------------------------------
-
-using SliceFn = double (*)(const double*, size_t);
-
-double SliceMinScalar(const double* p, size_t n) {
-  return n == 0 ? Nan() : *std::min_element(p, p + n);
-}
-
-double SliceMaxScalar(const double* p, size_t n) {
-  return n == 0 ? Nan() : *std::max_element(p, p + n);
-}
-
-/// Equal doubles are bit-identical except ±0.0, whose sign a lane-parallel
-/// reduction may pick arbitrarily while the scalar oracle (min_element /
-/// max_element, strict comparison) keeps the first occurrence. When the
-/// vector result is a zero, return the slice's first zero instead.
-double FirstZeroOf(const double* p, size_t n, double fallback) {
-  for (size_t i = 0; i < n; ++i) {
-    if (p[i] == 0.0) return p[i];
-  }
-  return fallback;
-}
-
-#if defined(FEATLIB_HAVE_AVX2_PATH)
-
-__attribute__((target("avx2"))) double SliceMinAvx2(const double* p,
-                                                    size_t n) {
-  if (n < 16) return SliceMinScalar(p, n);
-  // Materialized slices contain no NaN (nulls are dropped at build time),
-  // so min_pd's NaN asymmetry cannot bite; only ±0.0 ties need fixing.
-  __m256d acc0 = _mm256_loadu_pd(p);
-  __m256d acc1 = _mm256_loadu_pd(p + 4);
-  size_t i = 8;
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_min_pd(acc0, _mm256_loadu_pd(p + i));
-    acc1 = _mm256_min_pd(acc1, _mm256_loadu_pd(p + i + 4));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, _mm256_min_pd(acc0, acc1));
-  double best = lanes[0];
-  for (int k = 1; k < 4; ++k) {
-    if (lanes[k] < best) best = lanes[k];
-  }
-  for (; i < n; ++i) {
-    if (p[i] < best) best = p[i];
-  }
-  return best == 0.0 ? FirstZeroOf(p, n, best) : best;
-}
-
-__attribute__((target("avx2"))) double SliceMaxAvx2(const double* p,
-                                                    size_t n) {
-  if (n < 16) return SliceMaxScalar(p, n);
-  __m256d acc0 = _mm256_loadu_pd(p);
-  __m256d acc1 = _mm256_loadu_pd(p + 4);
-  size_t i = 8;
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_max_pd(acc0, _mm256_loadu_pd(p + i));
-    acc1 = _mm256_max_pd(acc1, _mm256_loadu_pd(p + i + 4));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, _mm256_max_pd(acc0, acc1));
-  double best = lanes[0];
-  for (int k = 1; k < 4; ++k) {
-    if (lanes[k] > best) best = lanes[k];
-  }
-  for (; i < n; ++i) {
-    if (p[i] > best) best = p[i];
-  }
-  return best == 0.0 ? FirstZeroOf(p, n, best) : best;
-}
-
-#endif  // FEATLIB_HAVE_AVX2_PATH
-
-#if defined(FEATLIB_HAVE_NEON_PATH)
-
-double SliceMinNeon(const double* p, size_t n) {
-  if (n < 8) return SliceMinScalar(p, n);
-  float64x2_t acc0 = vld1q_f64(p);
-  float64x2_t acc1 = vld1q_f64(p + 2);
-  size_t i = 4;
-  for (; i + 4 <= n; i += 4) {
-    acc0 = vminq_f64(acc0, vld1q_f64(p + i));
-    acc1 = vminq_f64(acc1, vld1q_f64(p + i + 2));
-  }
-  const float64x2_t acc = vminq_f64(acc0, acc1);
-  double best = vgetq_lane_f64(acc, 0);
-  const double hi = vgetq_lane_f64(acc, 1);
-  if (hi < best) best = hi;
-  for (; i < n; ++i) {
-    if (p[i] < best) best = p[i];
-  }
-  return best == 0.0 ? FirstZeroOf(p, n, best) : best;
-}
-
-double SliceMaxNeon(const double* p, size_t n) {
-  if (n < 8) return SliceMaxScalar(p, n);
-  float64x2_t acc0 = vld1q_f64(p);
-  float64x2_t acc1 = vld1q_f64(p + 2);
-  size_t i = 4;
-  for (; i + 4 <= n; i += 4) {
-    acc0 = vmaxq_f64(acc0, vld1q_f64(p + i));
-    acc1 = vmaxq_f64(acc1, vld1q_f64(p + i + 2));
-  }
-  const float64x2_t acc = vmaxq_f64(acc0, acc1);
-  double best = vgetq_lane_f64(acc, 0);
-  const double hi = vgetq_lane_f64(acc, 1);
-  if (hi > best) best = hi;
-  for (; i < n; ++i) {
-    if (p[i] > best) best = p[i];
-  }
-  return best == 0.0 ? FirstZeroOf(p, n, best) : best;
-}
-
-#endif  // FEATLIB_HAVE_NEON_PATH
-
-SliceFn SliceMinFn() {
-  static const SliceFn fn = []() -> SliceFn {
-    const SimdLevel level = DetectedSimdLevel();
-    (void)level;
-#if defined(FEATLIB_HAVE_AVX2_PATH)
-    if (level == SimdLevel::kAvx2) return &SliceMinAvx2;
-#endif
-#if defined(FEATLIB_HAVE_NEON_PATH)
-    if (level == SimdLevel::kNeon) return &SliceMinNeon;
-#endif
-    return &SliceMinScalar;
-  }();
-  return fn;
-}
-
-SliceFn SliceMaxFn() {
-  static const SliceFn fn = []() -> SliceFn {
-    const SimdLevel level = DetectedSimdLevel();
-    (void)level;
-#if defined(FEATLIB_HAVE_AVX2_PATH)
-    if (level == SimdLevel::kAvx2) return &SliceMaxAvx2;
-#endif
-#if defined(FEATLIB_HAVE_NEON_PATH)
-    if (level == SimdLevel::kNeon) return &SliceMaxNeon;
-#endif
-    return &SliceMaxScalar;
-  }();
-  return fn;
-}
-
-// ---------------------------------------------------------------------------
-// Kernel entry points
-// ---------------------------------------------------------------------------
-
-void SimdAggregateFromMaterialized(AggFunction fn, const MaterializedValues& m,
-                                   size_t g_begin, size_t g_end, double* out) {
-  if (fn != AggFunction::kMin && fn != AggFunction::kMax) {
-    // All other aggregates are order-sensitive or cold: the shared scalar
-    // ComputeAggregate per slice, exactly as the scalar backend does.
-    AggregateFromMaterialized(fn, m, g_begin, g_end, out);
-    return;
-  }
-  const SliceFn slice = fn == AggFunction::kMin ? SliceMinFn() : SliceMaxFn();
-  const double* flat = m.flat.data();
-  for (size_t g = g_begin; g < g_end; ++g) {
-    out[g] = m.present[g] == 0
-                 ? Nan()
-                 : slice(flat + m.offsets[g], m.offsets[g + 1] - m.offsets[g]);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Predicate-to-mask evaluation (prepare phase)
@@ -633,9 +457,6 @@ const KernelOps& SimdKernelOps() {
       /*level=*/DetectedSimdLevel(),
       /*aggregate_streaming=*/&AggregateStreaming<SegmentSpans>,
       /*absorb=*/&AbsorbRows<SegmentSpans>,
-      /*aggregate_from_materialized=*/&SimdAggregateFromMaterialized,
-      /*tally_materialized=*/&TallyMaterialized<SegmentSpans>,
-      /*fill_materialized=*/&FillMaterialized<SegmentSpans>,
       /*build_filter_mask=*/&SimdBuildFilterMask,
   };
   return ops;

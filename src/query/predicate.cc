@@ -35,7 +35,11 @@ std::string Predicate::ToSql(DataType attr_type) const {
     return attr + " = " + equals_value.ToSqlLiteral();
   }
   auto render = [&](double v) {
-    if (attr_type == DataType::kInt64 || attr_type == DataType::kDatetime) {
+    // Integer columns print integer bounds, but only in int64 range:
+    // llround of a bound outside it has no defined value (-2^63 on x86).
+    const bool in_int64 = v >= -0x1p63 && v < 0x1p63;
+    if (in_int64 &&
+        (attr_type == DataType::kInt64 || attr_type == DataType::kDatetime)) {
       return StrFormat("%lld", static_cast<long long>(std::llround(v)));
     }
     return StrFormat("%g", v);

@@ -31,26 +31,6 @@ Status GuardedBuild(const char* site, const Body& body) {
   return body();
 }
 
-// Aggregates whose one-pass streaming kernel accumulates directly into
-// per-group arrays. Of the rest, KURTOSIS materializes its bucket and the
-// order statistics read a ValueOrder.
-bool IsStreamingAgg(AggFunction fn) {
-  switch (fn) {
-    case AggFunction::kCount:
-    case AggFunction::kSum:
-    case AggFunction::kMin:
-    case AggFunction::kMax:
-    case AggFunction::kAvg:
-    case AggFunction::kVar:
-    case AggFunction::kVarSample:
-    case AggFunction::kStd:
-    case AggFunction::kStdSample:
-      return true;
-    default:
-      return false;
-  }
-}
-
 // Cache key of a predicate conjunction's combined bitset, from the
 // predicates' own cache keys. The "&\x1d" prefix keeps combos disjoint from
 // single-predicate keys.
@@ -100,51 +80,18 @@ uint64_t TrainingKeyFingerprint(const Table& training,
   return h;
 }
 
-// Bucket key (candidates differing only in agg function share all grouped
-// values), from precomputed parts.
-std::string BucketKey(const std::string& group_key, const std::string& agg_attr,
-                      const std::vector<std::string>& pred_keys) {
-  std::string out = group_key;
-  out += "\x1e";
-  out += agg_attr;
-  for (const std::string& key : pred_keys) {
-    out += "\x1e";
-    out += key;
-  }
-  return out;
+// ValueOrder key: every order statistic over one (group keys, agg
+// attribute) pair reads the same value order, whatever its predicates.
+std::string OrderKey(const std::string& group_key,
+                     const std::string& agg_attr) {
+  return group_key + "\x1e" + agg_attr;
 }
 
-// Rows per stage-C build task: about 32k, rounded up to a multiple of 64 so
-// chunk edges fall on mask words. A chunk also spans at least
-// kMatRowsPerGroup rows per group of the bucket, so a bucket's tallies (12
-// bytes per group and chunk) stay under 1.5 bytes per row: a high-cardinality
-// bucket, whose build is cheap, stays in one chunk.
-constexpr size_t kMatChunkRows = 32768;
-constexpr size_t kMatRowsPerGroup = 8;
-
-size_t MatChunkRows(size_t n_rows, size_t n_groups) {
-  size_t chunks = std::max<size_t>(1, (n_rows + kMatChunkRows - 1) /
-                                          kMatChunkRows);
-  if (n_groups > 0) {
-    chunks = std::min(chunks, std::max<size_t>(
-                                  1, n_rows / (n_groups * kMatRowsPerGroup)));
-  }
-  const size_t rows = (n_rows + chunks - 1) / chunks;
-  return std::max<size_t>(64, (rows + 63) / 64 * 64);
-}
-
-// Bytes of one bucket build's chunk tallies (present + cursor per group).
-size_t MatTallyBytes(size_t n_rows, size_t n_groups) {
-  const size_t chunk_rows = MatChunkRows(n_rows, n_groups);
-  return (n_rows + chunk_rows - 1) / chunk_rows * n_groups *
-         (sizeof(uint32_t) + sizeof(size_t));
-}
-
-// Flat values per fan-out item: a materialized or order-statistic candidate
-// splits into consecutive group ranges of about this many values or rows
-// (each group counts one more), so one slow candidate — an order
-// statistic's walk over every row of its pair — spreads across the pool.
-constexpr size_t kKernelRangeValues = 8192;
+// Rows per fan-out item: an order-statistic candidate splits into
+// consecutive group ranges of about this many value-order rows (each group
+// counts one more), so one slow candidate — an order statistic's walk over
+// every row of its pair — spreads across the pool.
+constexpr size_t kKernelRangeRows = 8192;
 
 // Rows per ValueOrder sort task: a build's groups split into consecutive
 // ranges of about this many rows (each group counts one more).
@@ -194,10 +141,10 @@ Status MergeSlotErrors(std::vector<Status>& errors,
   return Status::OK();
 }
 
-// Runs a bucket's stage-C step on the coordinator thread (its fault site
-// and chunk tallies, its flat array) and fails it the way a pool task
-// fails: a thrown exception, e.g. std::bad_alloc, becomes a kInternal
-// Status — here the bucket's own.
+// Runs a value order's stage-C setup on the coordinator thread (its fault
+// site and its arrays) and fails it the way a pool task fails: a thrown
+// exception, e.g. std::bad_alloc, becomes a kInternal Status — here the
+// value order's own.
 template <typename Body>
 Status CatchBuild(const Body& body) {
   try {
@@ -243,12 +190,6 @@ struct ComboReq {  // conjunction of >= 2 predicates (depends on MaskReqs)
   std::vector<size_t> parts;  // MaskReq indices; empty when cached
   const Bitset* bits = nullptr;
   std::optional<Bitset> built;
-  /// Set-bit count of the conjunction, a free by-product of the fused
-  /// AndWithCount build pass. Valid only for conjunctions built this batch
-  /// (cached ones skipped the AND); stage C's empty-selection short-circuit
-  /// reads it without rescanning the words.
-  size_t count = 0;
-  bool count_valid = false;
   Status error;
 };
 
@@ -272,23 +213,6 @@ struct OrderReq {  // value-sorted row permutation (depends on group + view)
   Status error;
 };
 
-struct MatReq {  // bucket materialization (depends on group + mask + view)
-  std::string key;
-  size_t group = 0;
-  int mask_single = -1;
-  int mask_combo = -1;
-  size_t view = 0;
-  // Build inputs, resolved once stages A and B have published them.
-  const GroupIndex* index = nullptr;
-  const Bitset* mask = nullptr;  // null = all rows selected
-  const double* view_data = nullptr;
-  std::vector<MaterializeChunk> chunks;  // row chunks of the build
-  const MaterializedValues* values = nullptr;
-  std::optional<MaterializedValues> built;
-  bool empty_selection = false;  // mask proved empty; build short-circuited
-  Status error;
-};
-
 /// A candidate resolved to artifact-request indices (-1 = not needed).
 struct CandidateSpec {
   const AggQuery* query = nullptr;
@@ -297,9 +221,7 @@ struct CandidateSpec {
   int mask_single = -1;
   int mask_combo = -1;
   int view = -1;
-  int mat = -1;                               // MatReq to build/join
-  const MaterializedValues* mat_hit = nullptr;  // store hit, no request
-  int order = -1;                             // OrderReq (order statistics)
+  int order = -1;  // OrderReq (order statistics)
 };
 
 }  // namespace
@@ -324,8 +246,7 @@ Result<const QueryPlanner::CompiledShape*> QueryPlanner::ResolveShape(
   if (shape.active_preds.size() >= 2) {
     shape.combo_key = ComboKey(shape.pred_keys);
   }
-  shape.bucket_key = BucketKey(shape.group_key, q.agg_attr, shape.pred_keys);
-  shape.order_key = BucketKey(shape.group_key, q.agg_attr, {});
+  shape.order_key = OrderKey(shape.group_key, q.agg_attr);
   ++plan_stats_.compile_misses;
   ++compile_cache_misses_;
   auto [inserted_it, inserted] =
@@ -353,7 +274,7 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
   plan_stats_.candidates = queries.size();
 
   // Resolve the kernel backend once per batch; every phase below (mask
-  // build, materialization, fan-out kernels) dispatches through this table.
+  // build, fan-out kernels) dispatches through this table.
   ops_ = &ResolveKernelOps(kernel_backend_);
 
   // Over-cap memo is flushed between batches only: shape pointers resolved
@@ -384,31 +305,20 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
   }
 
   // Order statistics read the ValueOrder of their (group keys, attribute)
-  // pair instead of a bucket. Buckets shared by several other candidates
-  // pay one materialization and serve every member from flat slices;
-  // singleton buckets keep the cheaper streaming kernel for
-  // streaming-family aggregates.
+  // pair; every other candidate streams its mask and view through the
+  // backend's GroupAccumulator kernel.
   auto reads_order = [&](const AggQuery& q) {
     return !for_grouped_result && IsOrderStatistic(q.agg) &&
            !q.agg_attr.empty();
   };
-  std::unordered_map<std::string, int> bucket_counts;
-  if (!for_grouped_result) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      if (shapes[i] != nullptr && !reads_order(queries[i])) {
-        ++bucket_counts[shapes[i]->bucket_key];
-      }
-    }
-  }
 
   std::vector<GroupReq> groups;
   std::vector<MaskReq> masks;
   std::vector<ComboReq> combos;
   std::vector<ViewReq> views;
   std::vector<OrderReq> orders;
-  std::vector<MatReq> mats;
   std::unordered_map<std::string, size_t> group_idx, mask_idx, combo_idx,
-      view_idx, order_idx, mat_idx;
+      view_idx, order_idx;
 
   auto intern_group = [&](const AggQuery& q, const std::string& key) -> size_t {
     auto [it, inserted] = group_idx.emplace(key, groups.size());
@@ -468,20 +378,6 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
     spec.group = intern_group(q, shape.group_key);
     if (training != nullptr) groups[spec.group].need_train_map = true;
 
-    // A bucket hit (or a bucket another candidate already requested)
-    // carries the selection baked in: the kernel needs neither mask nor
-    // view. ExecuteAggQuery never takes this path — it streams so it can
-    // recover first-selected-row group order.
-    if (!for_grouped_result && !q.agg_attr.empty() && !reads_order(q)) {
-      auto pending = mat_idx.find(shape.bucket_key);
-      if (pending != mat_idx.end()) {
-        spec.mat = static_cast<int>(pending->second);
-        continue;
-      }
-      spec.mat_hit = store_.FindMaterialized(shape.bucket_key);
-      if (spec.mat_hit != nullptr) continue;
-    }
-
     // Selection mask: the predicate's own bitset for a single conjunct, a
     // dedicated conjunction bitset (word-wise AND of the constituents) for
     // longer ones. A cached conjunction needs no constituent requests.
@@ -531,24 +427,7 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
         orders.push_back(std::move(req));
       }
       spec.order = static_cast<int>(it->second);
-      continue;
     }
-    const bool shared_bucket =
-        !for_grouped_result && bucket_counts[shape.bucket_key] > 1;
-    if (for_grouped_result || (IsStreamingAgg(q.agg) && !shared_bucket)) {
-      continue;
-    }
-    auto [it, inserted] = mat_idx.emplace(shape.bucket_key, mats.size());
-    if (inserted) {
-      MatReq req;
-      req.key = shape.bucket_key;
-      req.group = spec.group;
-      req.mask_single = spec.mask_single;
-      req.mask_combo = spec.mask_combo;
-      req.view = view;
-      mats.push_back(std::move(req));
-    }
-    spec.mat = static_cast<int>(it->second);
   }
 
   // ---- Stage membership (computable at compile time: a group built this
@@ -580,24 +459,19 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
   for (size_t oi = 0; oi < orders.size(); ++oi) {
     if (orders[oi].order == nullptr) c_orders.push_back(oi);
   }
-  std::vector<size_t> c_mats(mats.size());
-  for (size_t i = 0; i < mats.size(); ++i) c_mats[i] = i;
 
   plan_stats_.group_requests = groups.size();
   plan_stats_.mask_requests = masks.size();
   plan_stats_.conjunction_requests = combos.size();
   plan_stats_.view_requests = views.size();
   plan_stats_.order_requests = orders.size();
-  plan_stats_.mat_requests = mats.size();
   plan_stats_.train_map_requests = b_maps.size();
   plan_stats_.builds_run = a_groups.size() + a_masks.size() + a_views.size() +
-                           b_maps.size() + b_combos.size() + c_orders.size() +
-                           c_mats.size();
+                           b_maps.size() + b_combos.size() + c_orders.size();
   const size_t n_a = a_groups.size() + a_masks.size() + a_views.size();
   const size_t n_b = b_maps.size() + b_combos.size();
-  const size_t n_c = c_orders.size() + c_mats.size();
   plan_stats_.stages_run =
-      (n_a > 0 ? 1 : 0) + (n_b > 0 ? 1 : 0) + (n_c > 0 ? 1 : 0);
+      (n_a > 0 ? 1 : 0) + (n_b > 0 ? 1 : 0) + (c_orders.empty() ? 0 : 1);
 
   // ---- Memory budget: charge conservative size estimates for every build
   // this batch schedules, before any build allocates. The batch either fits
@@ -613,8 +487,6 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
     if (training != nullptr) {
       planned_bytes += b_maps.size() * training->num_rows() * sizeof(uint32_t);
     }
-    planned_bytes +=
-        c_mats.size() * n_rows * (sizeof(double) + sizeof(uint32_t));
     FEAT_RETURN_NOT_OK(FaultPoint("planner.budget"));
     FEAT_RETURN_NOT_OK(ctx->ChargeMemory(planned_bytes));
   }
@@ -728,16 +600,10 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
       }
     }
     req.error = GuardedBuild("prepare.conjunction", [&]() -> Status {
-      // Fused AND + popcount: the last constituent's pass also yields
-      // the conjunction's selectivity, which stage C uses to skip
-      // materializing provably-empty buckets.
       Bitset combined = *masks[req.parts[0]].bits;
-      size_t count = 0;
       for (size_t k = 1; k < req.parts.size(); ++k) {
-        count = combined.AndWithCount(*masks[req.parts[k]].bits);
+        combined.AndWith(*masks[req.parts[k]].bits);
       }
-      req.count = count;
-      req.count_valid = true;
       req.built.emplace(std::move(combined));
       return Status::OK();
     });
@@ -784,10 +650,8 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
   FEAT_RETURN_NOT_OK(stage_error);
 
   // ---- Stage C budget, now that stage A has published the group counts:
-  // every ValueOrder build, every bucket's chunk tallies (released again in
-  // the true-up — they die with this call) and the fan-out's per-group
-  // buffer of each materialized or order-statistic candidate. ----
-  size_t tally_bytes = 0;
+  // every ValueOrder build and the fan-out's per-group buffer of each
+  // order-statistic candidate. ----
   if (ctx != nullptr) {
     size_t stage_c_bytes = 0;
     for (size_t oi : c_orders) {
@@ -796,25 +660,18 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
       stage_c_bytes +=
           ValueOrder::PlannedBytes(n_rows, group.artifact->index.num_groups());
     }
-    for (const MatReq& req : mats) {
-      const GroupReq& group = groups[req.group];
-      if (group.artifact == nullptr) continue;
-      tally_bytes += MatTallyBytes(n_rows, group.artifact->index.num_groups());
-    }
     for (const CandidateSpec& spec : specs) {
       if (spec.query == nullptr) continue;  // isolated compile failure
       const GroupReq& group = groups[spec.group];
-      if ((spec.mat >= 0 || spec.order >= 0) && group.artifact != nullptr) {
+      if (spec.order >= 0 && group.artifact != nullptr) {
         stage_c_bytes += group.artifact->index.num_groups() * sizeof(double);
-      } else if (spec.mat_hit != nullptr) {
-        stage_c_bytes += spec.mat_hit->present.size() * sizeof(double);
       }
     }
-    FEAT_RETURN_NOT_OK(ctx->ChargeMemory(tally_bytes + stage_c_bytes));
+    FEAT_RETURN_NOT_OK(ctx->ChargeMemory(stage_c_bytes));
   }
 
-  // ---- ValueOrder setup, on this thread: resolve each build's inputs, fire
-  // its fault site and allocate its arrays. ----
+  // ---- Stage C setup, on this thread: resolve each ValueOrder build's
+  // inputs, fire its fault site and allocate its arrays. ----
   std::vector<size_t> o_groups;  // OrderReqs to group (one task each)
   for (size_t oi : c_orders) {
     OrderReq& req = orders[oi];
@@ -840,127 +697,21 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
     if (req.error.ok()) o_groups.push_back(oi);
   }
 
-  // ---- Stage C setup, on this thread: resolve each bucket's inputs, fire
-  // its fault site, prove empty selections, and cut the rest into row
-  // chunks whose tallies are allocated here. ----
-  std::vector<std::pair<size_t, size_t>> c_tasks;  // (MatReq, chunk)
-  for (size_t mi : c_mats) {
-    MatReq& req = mats[mi];
-    const GroupReq& group = groups[req.group];
-    if (group.artifact == nullptr) {
-      req.error = inherit(group.error, "group index");
-      continue;
-    }
-    const MaskReq* single =
-        req.mask_single >= 0 ? &masks[static_cast<size_t>(req.mask_single)]
-                             : nullptr;
-    const ComboReq* combo =
-        req.mask_combo >= 0 ? &combos[static_cast<size_t>(req.mask_combo)]
-                            : nullptr;
-    if (single != nullptr && single->bits == nullptr) {
-      req.error = inherit(single->error, "mask");
-      continue;
-    }
-    if (combo != nullptr && combo->bits == nullptr) {
-      req.error = inherit(combo->error, "conjunction");
-      continue;
-    }
-    const ViewReq& view = views[req.view];
-    if (view.view == nullptr) {
-      req.error = inherit(view.error, "value view");
-      continue;
-    }
-    req.index = &group.artifact->index;
-    req.mask = single != nullptr ? single->bits
-               : combo != nullptr ? combo->bits
-                                  : nullptr;
-    req.view_data = view.view->data();
-    // Empty-selection early-out: a conjunction built this batch proved its
-    // selectivity for free (fused AndWithCount); other masks pay one
-    // popcount scan — far cheaper than streaming every row through the
-    // builder. An empty bucket is constructed directly; the result is
-    // byte-identical to what the builder returns for an all-zero mask.
-    if (req.mask != nullptr) {
-      req.empty_selection = combo != nullptr && combo->count_valid
-                                ? combo->count == 0
-                                : req.mask->Count() == 0;
-    }
-    req.error = CatchBuild([&]() -> Status {
-      FEAT_RETURN_NOT_OK(FaultPoint("prepare.mat"));
-      const size_t n_groups = req.index->num_groups();
-      if (req.empty_selection) {
-        MaterializedValues empty;
-        empty.present.assign(n_groups, 0);
-        empty.offsets.assign(n_groups + 1, 0);
-        req.built.emplace(std::move(empty));
-        return Status::OK();
-      }
-      const size_t chunk_rows = MatChunkRows(n_rows, n_groups);
-      for (size_t begin = 0; begin < n_rows; begin += chunk_rows) {
-        req.chunks.emplace_back(begin, std::min(n_rows, begin + chunk_rows),
-                                n_groups);
-      }
-      return Status::OK();
-    });
-    if (!req.error.ok()) continue;
-    for (size_t c = 0; c < req.chunks.size(); ++c) c_tasks.emplace_back(mi, c);
-  }
-  plan_stats_.mat_build_tasks = c_tasks.size();
-
-  // ---- Stage C: tally every (bucket, chunk) in parallel; lay each bucket
-  // out and allocate its flat array on this thread; fill every chunk in
-  // parallel through its cursors; publish in request order. ----
-  auto run_tally = [&](size_t t) {
-    MatReq& req = mats[c_tasks[t].first];
-    ops_->tally_materialized(*req.index, req.mask, req.view_data,
-                             &req.chunks[c_tasks[t].second]);
-  };
-  auto layout_tallies = [&]() {
-    for (size_t mi : c_mats) {
-      MatReq& req = mats[mi];
-      if (!req.error.ok() || req.empty_selection) continue;
-      req.error = CatchBuild([&]() -> Status {
-        MaterializedValues m;
-        LayoutMaterialized(req.chunks, req.index->num_groups(), &m);
-        req.built.emplace(std::move(m));
-        return Status::OK();
-      });
-    }
-  };
-  auto run_fill = [&](size_t t) {
-    MatReq& req = mats[c_tasks[t].first];
-    if (!req.error.ok()) return;  // its layout failed
-    ops_->fill_materialized(*req.index, req.mask, req.view_data,
-                            &req.chunks[c_tasks[t].second],
-                            req.built->flat.data());
-  };
-  auto publish_stage_c = [&]() {
-    for (size_t mi : c_mats) {
-      MatReq& req = mats[mi];
-      if (!req.error.ok()) {
-        if (!isolated) note_error(req.error);
-        continue;
-      }
-      req.values = store_.PublishMaterialized(req.key, std::move(*req.built));
-    }
-  };
-  // ValueOrders ride along: each groups its rows in one task beside the
-  // tallies; the layout step then cuts it into group ranges that sort
-  // beside the fills. Two calls, since the sort tasks are counted only
-  // once the rows are grouped.
+  // ---- Stage C: group every ValueOrder's rows in one task each, then cut
+  // its groups into ranges that sort in parallel; publish in request order.
+  // Two calls, since the sort tasks are counted only once the rows are
+  // grouped. ----
   struct SortTask {
     size_t order;
     size_t g_begin;
     size_t g_end;
   };
   std::vector<SortTask> o_sorts;
-  auto run_tally_or_group = [&](size_t t) {
-    if (t < c_tasks.size()) return run_tally(t);
-    OrderReq& req = orders[o_groups[t - c_tasks.size()]];
+  auto run_group = [&](size_t t) {
+    OrderReq& req = orders[o_groups[t]];
     GroupValueOrder(req.index->row_groups().data(), n_rows, &*req.built);
   };
-  auto layout_and_cut = [&]() {
-    layout_tallies();
+  auto cut_sorts = [&]() {
     for (size_t oi : o_groups) {
       const std::vector<uint32_t>& offsets = orders[oi].built->offsets;
       CutGroupRanges(
@@ -969,13 +720,12 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
           [&](size_t b, size_t e) { o_sorts.push_back({oi, b, e}); });
     }
   };
-  auto run_fill_or_sort = [&](size_t t) {
-    if (t < c_tasks.size()) return run_fill(t);
-    const SortTask& task = o_sorts[t - c_tasks.size()];
+  auto run_sort = [&](size_t t) {
+    const SortTask& task = o_sorts[t];
     OrderReq& req = orders[task.order];
     SortValueOrder(req.view_data, task.g_begin, task.g_end, &*req.built);
   };
-  auto publish_orders_and_mats = [&]() {
+  auto publish_stage_c = [&]() {
     for (size_t oi : c_orders) {
       OrderReq& req = orders[oi];
       if (!req.error.ok()) {
@@ -984,26 +734,20 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
       }
       req.order = store_.PublishOrder(req.key, std::move(*req.built));
     }
-    publish_stage_c();
   };
-  FEAT_RETURN_NOT_OK(run_stages(
-      {{c_tasks.size() + o_groups.size(), run_tally_or_group, layout_and_cut}}));
-  FEAT_RETURN_NOT_OK(run_stages({{c_tasks.size() + o_sorts.size(),
-                                  run_fill_or_sort, publish_orders_and_mats}}));
-  for (const MatReq& r : mats) {
-    if (r.empty_selection) ++plan_stats_.empty_selections;
-  }
+  FEAT_RETURN_NOT_OK(run_stages({{o_groups.size(), run_group, cut_sorts}}));
+  FEAT_RETURN_NOT_OK(
+      run_stages({{o_sorts.size(), run_sort, publish_stage_c}}));
   FEAT_RETURN_NOT_OK(stage_error);
 
   // ---- True-up: replace the conservative up-front estimates of the
   // hash-map-backed group indexes and the packed bitsets with the published
   // artifacts' actual SizeBytes() — charge the shortfall (group key maps are
   // invisible to the row-count estimate), release the surplus (packed masks
-  // are 8x smaller than the byte-per-row guess) and the chunk tallies.
-  // Views, training-row maps and materializations are flat arrays already
-  // estimated exactly. ----
+  // are 8x smaller than the byte-per-row guess). Views, training-row maps
+  // and value orders are flat arrays already estimated exactly. ----
   if (ctx != nullptr) {
-    size_t estimated = tally_bytes;
+    size_t estimated = 0;
     size_t actual = 0;
     for (size_t gi : a_groups) {
       if (groups[gi].artifact == nullptr) continue;  // isolated build failure
@@ -1036,12 +780,6 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
     const GroupReq& g = groups[spec.group];
     if (g.artifact == nullptr) return inherit(g.error, "group index");
     if (training != nullptr && !g.map_error.ok()) return g.map_error;
-    if (spec.mat >= 0) {
-      const MatReq& m = mats[static_cast<size_t>(spec.mat)];
-      if (m.values == nullptr) return inherit(m.error, "materialization");
-      return Status::OK();
-    }
-    if (spec.mat_hit != nullptr) return Status::OK();
     if (spec.order >= 0) {
       const OrderReq& o = orders[static_cast<size_t>(spec.order)];
       if (o.order == nullptr) return inherit(o.error, "value order");
@@ -1077,14 +815,6 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
     ArtifactStore::GroupArtifact* g = groups[spec.group].artifact;
     p.index = &g->index;
     if (training != nullptr) p.train_map = &g->train_map;
-    if (spec.mat >= 0) {
-      p.mat = mats[static_cast<size_t>(spec.mat)].values;
-      continue;
-    }
-    if (spec.mat_hit != nullptr) {
-      p.mat = spec.mat_hit;
-      continue;
-    }
     if (spec.has_mask) {
       p.mask = spec.mask_single >= 0
                    ? masks[static_cast<size_t>(spec.mask_single)].bits
@@ -1127,13 +857,13 @@ Result<std::vector<std::vector<double>>> QueryPlanner::Evaluate(
     prepare_seconds_ = timer.Seconds();
 
     // ---- Fan-out phase: the per-group kernels as items on the pool. A
-    // streaming candidate is one item; a materialized or order-statistic
-    // one is a run of consecutive group ranges writing disjoint parts of a
-    // per-group buffer sized here. The item that finishes a candidate's
-    // last range runs its `exec.kernel` site and scatter through the
-    // training-row map — in candidate order on a 1-thread pool — and frees
-    // the candidate's per-group buffer, so streaming buffers do not pile up
-    // across a large batch. Every group's value is the same function over the same slice
+    // streaming candidate is one item; an order-statistic one is a run of
+    // consecutive group ranges writing disjoint parts of a per-group buffer
+    // sized here. The item that finishes a candidate's last range runs its
+    // `exec.kernel` site and scatter through the training-row map — in
+    // candidate order on a 1-thread pool — and frees the candidate's
+    // per-group buffer, so streaming buffers do not pile up across a large
+    // batch. Every group's value is the same function over the same rows
     // whichever thread runs it, so results are byte-identical at every
     // thread count. ----
     timer.Restart();
@@ -1149,17 +879,13 @@ Result<std::vector<std::vector<double>>> QueryPlanner::Evaluate(
       const PlannedCandidate& p = planned[i];
       if (p.query == nullptr) continue;  // isolated failure
       const size_t first = items.size();
-      auto split = [&](const auto& offsets) {  // a bucket's or an order's
+      if (p.order != nullptr) {
+        const std::vector<uint32_t>& offsets = p.order->offsets;
         per_group[i].resize(offsets.size() - 1);
         CutGroupRanges(
-            offsets.size() - 1, kKernelRangeValues,
+            offsets.size() - 1, kKernelRangeRows,
             [&](size_t g) { return offsets[g + 1] - offsets[g]; },
             [&](size_t b, size_t e) { items.push_back({i, b, e}); });
-      };
-      if (p.mat != nullptr) {
-        split(p.mat->offsets);
-      } else if (p.order != nullptr) {
-        split(p.order->offsets);
       } else {
         items.push_back({i, 0, 0});
       }
@@ -1172,10 +898,7 @@ Result<std::vector<std::vector<double>>> QueryPlanner::Evaluate(
       const KernelItem& item = items[t];
       const size_t i = item.candidate;
       const PlannedCandidate& p = planned[i];
-      if (p.mat != nullptr) {
-        ops_->aggregate_from_materialized(p.query->agg, *p.mat, item.g_begin,
-                                          item.g_end, per_group[i].data());
-      } else if (p.order != nullptr) {
+      if (p.order != nullptr) {
         AggregateFromValueOrder(p.query->agg, *p.order, p.mask, p.view,
                                 item.g_begin, item.g_end, per_group[i].data());
       } else {

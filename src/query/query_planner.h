@@ -13,18 +13,17 @@
 ///
 ///  1. **Compile** — one sequential pass over the batch resolves every
 ///     candidate to the set of artifacts it needs (group index, training-row
-///     map, predicate/conjunction bitsets, numeric value view, value order,
-///     bucket materialization), deduplicating requests across candidates
-///     and looking up what the ArtifactStore already holds. The result is a
-///     three-stage dependency DAG: conjunction masks depend on their
-///     constituent predicate masks, training-row maps on their group index,
-///     value orders on group index + view, and materializations on group
-///     index + mask + view.
+///     map, predicate/conjunction bitsets, numeric value view, value order),
+///     deduplicating requests across candidates and looking up what the
+///     ArtifactStore already holds. The result is a three-stage dependency
+///     DAG: conjunction masks depend on their constituent predicate masks,
+///     training-row maps on their group index, and value orders on group
+///     index + view.
 ///
 ///     Per-candidate resolution is **memoized across batches**: the first
 ///     time a candidate content key (AggQuery::CacheKey) is seen, its
 ///     validation and artifact-key derivation (group key, predicate keys,
-///     conjunction key, bucket key) run and the result is cached; a pool
+///     conjunction key, value-order key) run and the result is cached; a pool
 ///     that overlaps a previous pool — the HPO-loop pattern, where
 ///     successive search rounds re-plan nearly identical pools — skips
 ///     re-resolution for the overlap and goes straight to the
@@ -37,24 +36,20 @@
 ///     side* on the ThreadPool, independent artifacts of a stage in
 ///     parallel, stages in topological order; after each stage the finished
 ///     values are published into the store sequentially on the calling
-///     thread (ThreadPool::ParallelForStages). Bucket materializations
-///     (stage C) split further into row chunks of about 32k rows: every
-///     (bucket, chunk) tallies its rows in parallel, the calling thread
-///     lays each bucket out and allocates its flat array, and every chunk
-///     fills its part in parallel. Value orders (also stage C) group their
-///     rows in one task each beside the tallies and sort group ranges of
-///     about 16k rows beside the fills. Publish order is request order, so
-///     the store's contents — and every downstream byte — are identical at
-///     every thread and chunk count.
+///     thread (ThreadPool::ParallelForStages). Value orders (stage C) group
+///     their rows in one task each, then sort group ranges of about 16k
+///     rows in parallel. Publish order is request order, so the store's
+///     contents — and every downstream byte — are identical at every
+///     thread count.
 ///
 ///  3. **Fan-out (parallel)** — each candidate's per-group aggregate (the
 ///     backend's kernels, query/kernels.h) then ScatterPerGroup through the
 ///     training-row map: pure functions over published const artifacts
-///     writing pre-sized output slots. The aggregates run as items on the
-///     pool — a streaming candidate is one item, a materialized candidate
-///     one item per group range of about 8k flat values, an order statistic
-///     one per group range of about 8k rows of its value order — so one
-///     slow candidate no longer holds up a small pool.
+///     writing pre-sized output slots. Every candidate but an order
+///     statistic streams its mask and view through the one
+///     GroupAccumulator as one item on the pool; an order statistic runs as
+///     one item per group range of about 8k rows of its value order, so one
+///     slow candidate does not hold up a small pool.
 ///
 /// EvaluateMany, EvaluateManyIsolated and ComputeFeatureColumn are thin
 /// shells over one evaluate body; they differ only in the failure contract
@@ -151,9 +146,9 @@ class QueryPlanner {
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
   /// Kernel backend for every phase this planner dispatches — predicate
-  /// masks, bucket materializations, streaming aggregation, the serving
-  /// plan's compile. kAuto (the default) defers to FEATLIB_KERNEL_BACKEND /
-  /// FeatAugConfig and then to CPU detection (see query/kernel_dispatch.h).
+  /// masks, streaming aggregation, the serving plan's compile. kAuto (the
+  /// default) defers to FEATLIB_KERNEL_BACKEND / FeatAugConfig and then to
+  /// CPU detection (see query/kernel_dispatch.h).
   /// Backends are byte-identical by contract; this is a performance knob
   /// and a test hook, never a semantics switch.
   void set_kernel_backend(KernelBackend backend) { kernel_backend_ = backend; }
@@ -190,9 +185,9 @@ class QueryPlanner {
   /// Candidates sharing group keys reuse one GroupIndex; predicates repeated
   /// across candidates hit the mask shard; order statistics (COUNT_DISTINCT,
   /// ENTROPY, MODE, MAD, MEDIAN) over one (group keys, attribute) pair share
-  /// one value order whatever their predicates; other candidates differing
-  /// only in agg function share one bucket materialization; artifact builds
-  /// and the per-candidate kernels both run on the configured ThreadPool.
+  /// one value order whatever their predicates; every other candidate
+  /// streams its mask and view; artifact builds and the per-candidate
+  /// kernels both run on the configured ThreadPool.
   ///
   /// Fail-fast contract: any candidate failing to compile or build fails
   /// the whole batch (the store still keeps every artifact that did publish,
@@ -244,13 +239,13 @@ class QueryPlanner {
   /// @{
   size_t num_group_index_builds() const { return store_.num_group_builds(); }
   size_t num_mask_builds() const { return store_.num_mask_builds(); }
-  size_t num_materializations() const { return store_.num_materializations(); }
+  /// Always 0: candidates stream or read a value order, and no bucket is
+  /// ever materialized. Kept for the end-to-end benchmark's
+  /// `query.materializations` probe until that probe goes.
+  size_t num_materializations() const { return 0; }
   size_t num_evictions() const { return store_.num_evictions(); }
   void set_mask_cache_cap_bytes(size_t cap) {
     store_.set_mask_cache_cap_bytes(cap);
-  }
-  void set_mat_cache_cap_bytes(size_t cap) {
-    store_.set_mat_cache_cap_bytes(cap);
   }
   /// @}
 
@@ -268,7 +263,6 @@ class QueryPlanner {
     size_t view_requests = 0;
     /// ValueOrders the batch's order statistics read (cached or built).
     size_t order_requests = 0;
-    size_t mat_requests = 0;
     /// Artifact builds actually executed (requests that missed the store).
     size_t builds_run = 0;
     /// Dependency stages that ran at least one build (<= 3).
@@ -278,17 +272,8 @@ class QueryPlanner {
     /// the batch count as hits after the first occurrence.
     size_t compile_hits = 0;
     size_t compile_misses = 0;
-    /// Bucket materializations short-circuited because their selection mask
-    /// had no set bits (the fused conjunction popcount — or a cached mask's
-    /// count — proved the bucket empty before any build ran).
-    size_t empty_selections = 0;
-    /// Stage-C build tasks: the (bucket, row chunk) pairs tallied and
-    /// filled. A bucket over a table of one chunk (about 32k rows) is one
-    /// task; an empty-selection bucket is none.
-    size_t mat_build_tasks = 0;
     /// Fan-out kernel items: one per streaming candidate, one per group
-    /// range (about 8k flat values or value-order rows) of a materialized
-    /// or order-statistic candidate.
+    /// range (about 8k value-order rows) of an order-statistic candidate.
     size_t kernel_tasks = 0;
     /// Morsels processed when the batch ran the out-of-core pipeline (0 on
     /// the in-RAM path; see last_morsel_stats() for the full breakdown).
@@ -324,9 +309,8 @@ class QueryPlanner {
  private:
   /// Memoized per-candidate compile resolution: everything derivable from
   /// the query content alone — validation outcome and the artifact cache
-  /// keys the compile pass interns. Batch-dependent choices (shared-bucket
-  /// materialization, store hits) are *not* cached here; they re-resolve
-  /// each batch against the memoized keys.
+  /// keys the compile pass interns. Store hits are *not* cached here; they
+  /// re-resolve each batch against the memoized keys.
   struct CompiledShape {
     std::string group_key;
     /// Indices of non-trivial predicates in the query's predicate list,
@@ -335,8 +319,6 @@ class QueryPlanner {
     std::vector<std::string> pred_keys;
     /// Conjunction cache key; empty unless active_preds.size() >= 2.
     std::string combo_key;
-    /// Bucket key (group keys + agg attribute + predicates).
-    std::string bucket_key;
     /// ValueOrder key (group keys + agg attribute).
     std::string order_key;
   };
@@ -364,11 +346,9 @@ class QueryPlanner {
   /// Compiles `queries` into the artifact DAG, executes the missing builds
   /// stage-parallel on the pool, publishes them, and resolves one
   /// PlannedCandidate per query. A null `training` plans ExecuteAggQuery's
-  /// grouped result: no training-row maps are built, and candidates always
-  /// take the streaming path (view instead of bucket materialization).
-  /// Otherwise order statistics read their pair's value order, KURTOSIS
-  /// materializes its bucket, and streaming-family aggregates materialize
-  /// only when several candidates of the batch share their bucket.
+  /// grouped result: no training-row maps are built, and every candidate
+  /// streams. Otherwise order statistics read their pair's value order and
+  /// every other candidate streams.
   ///
   /// `slot_errors` selects the failure contract: nullptr is fail-fast (the
   /// first compile or build error fails the call); non-null must be sized

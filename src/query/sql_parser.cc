@@ -436,6 +436,10 @@ class Parser {
         if (lit.kind == TokenKind::kString) {
           v = Value::Str(lit.text);
         } else if (lit.kind == TokenKind::kNumber) {
+          if (lit.is_integer &&
+              !(lit.number >= -0x1p63 && lit.number < 0x1p63)) {
+            return ErrorAt(lit, "integer literal out of int64 range");
+          }
           v = lit.is_integer ? Value::Int(static_cast<int64_t>(std::llround(lit.number)))
                              : Value::Double(lit.number);
         } else if (KeywordMatches(lit, "NULL")) {

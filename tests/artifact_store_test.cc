@@ -109,33 +109,6 @@ TEST(ArtifactStoreTest, PinnedEntriesMayExceedTheCapMidBatch) {
   EXPECT_EQ(store.num_evictions(), 8u);
 }
 
-TEST(ArtifactStoreTest, MatShardTracksBytesAndEpochs) {
-  ArtifactStore store;
-  store.BeginEpoch();
-  MaterializedValues m;
-  m.present = {2u, 1u};
-  m.offsets = {0u, 2u, 3u};
-  m.flat = {1.0, 2.0, 3.0};
-  const size_t bytes = m.SizeBytes();
-  const MaterializedValues* stored = store.PublishMaterialized("b1", std::move(m));
-  ASSERT_NE(stored, nullptr);
-  EXPECT_EQ(store.mat_cache_bytes(), bytes);
-  EXPECT_EQ(store.FindMaterialized("b1"), stored);
-  EXPECT_EQ(store.FindMaterialized("absent"), nullptr);
-  EXPECT_EQ(store.num_materializations(), 1u);
-
-  // A tiny cap evicts the unpinned entry on the next epoch's publish.
-  store.set_mat_cache_cap_bytes(1);
-  store.BeginEpoch();
-  MaterializedValues m2;
-  m2.present = {1u};
-  m2.offsets = {0u, 1u};
-  m2.flat = {9.0};
-  store.PublishMaterialized("b2", std::move(m2));
-  EXPECT_EQ(store.FindMaterialized("b1"), nullptr);
-  EXPECT_EQ(store.num_evictions(), 1u);
-}
-
 TEST(ArtifactStoreTest, ViewShardIsNeverEvicted) {
   ArtifactStore store;
   store.BeginEpoch();

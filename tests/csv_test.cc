@@ -3,9 +3,8 @@
 /// identity with the two-pass reference reader (tests/csv_oracle.h) on edge
 /// cases, generated paper tables and a seeded mutation sweep.
 ///
-/// scripts/ci.sh drives the sweep across seeds via:
-///   FEATLIB_CSV_FUZZ_SEED — sweep seed (default 1)
-///   FEATLIB_CSV_FUZZ_ITERS — mutated inputs per run (default 4000)
+/// scripts/ci.sh drives the sweep across seeds through FEATLIB_FUZZ_SEED and
+/// FEATLIB_FUZZ_ITERS (tests/mutation.h).
 
 #include <gtest/gtest.h>
 
@@ -19,6 +18,7 @@
 
 #include "csv_oracle.h"
 #include "data/synthetic.h"
+#include "mutation.h"
 #include "table/csv.h"
 
 namespace featlib {
@@ -95,11 +95,6 @@ std::string Escaped(const std::string& text) {
     }
   }
   return out;
-}
-
-uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : fallback;
 }
 
 // Inputs where a naive single pass goes wrong, one per behaviour.
@@ -238,8 +233,8 @@ TEST(CsvOracleTest, OtherDelimitersMatchOracle) {
 // Random byte edits of a small corpus: every input must read the same as the
 // oracle (same Table or same Status) and never crash.
 TEST(CsvMutationSweep, MutatedInputsMatchOracle) {
-  const uint64_t seed = EnvU64("FEATLIB_CSV_FUZZ_SEED", 1);
-  const uint64_t iters = EnvU64("FEATLIB_CSV_FUZZ_ITERS", 4000);
+  const uint64_t seed = mutation::SweepSeed();
+  const uint64_t iters = mutation::SweepIters();
   std::printf("csv mutation sweep: seed %llu, %llu inputs\n",
               static_cast<unsigned long long>(seed),
               static_cast<unsigned long long>(iters));
@@ -251,23 +246,13 @@ TEST(CsvMutationSweep, MutatedInputsMatchOracle) {
   corpus.push_back(tmall.substr(0, tmall.find('\n', 600) + 1));
   corpus.push_back("id,price,name\n1,2.5,\"a,b\"\n2,-0,\"c\"\"d\"\n3,1e5,e\r\n");
 
-  static constexpr char kAlphabet[] = ",;\"\r\n+-.0123456789eExp \t";
+  const std::vector<std::string> alphabet =
+      mutation::CharTokens(",;\"\r\n+-.0123456789eExp \t");
   std::mt19937_64 rng(seed);
   size_t parsed = 0;
   for (uint64_t i = 0; i < iters; ++i) {
     std::string text = corpus[rng() % corpus.size()];
-    const size_t edits = 1 + rng() % 4;
-    for (size_t e = 0; e < edits; ++e) {
-      const char ch = kAlphabet[rng() % (sizeof(kAlphabet) - 1)];
-      const size_t op = rng() % 3;
-      if (op == 0 || text.empty()) {
-        text.insert(text.begin() + static_cast<std::ptrdiff_t>(rng() % (text.size() + 1)), ch);
-      } else if (op == 1) {
-        text.erase(rng() % text.size(), 1);
-      } else {
-        text[rng() % text.size()] = ch;
-      }
-    }
+    mutation::Mutate(&text, alphabet, rng);
     CsvReadOptions read;
     read.delimiter = rng() % 2 == 0 ? ',' : ';';
     read.has_header = rng() % 4 != 0;

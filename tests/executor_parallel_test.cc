@@ -247,7 +247,6 @@ TEST(ExecutorParallelTest, BatchPinnedStoreEntriesSurviveTinyCap) {
   // mass-evict the whole shard, invalidating masks the in-flight batch still
   // references. Pinning keeps current-batch entries alive instead.
   planner.set_mask_cache_cap_bytes(1);
-  planner.set_mat_cache_cap_bytes(1);
   auto many = planner.EvaluateMany(queries, tables.training, tables.relevant);
   ASSERT_TRUE(many.ok()) << many.status().ToString();
   // Nothing is evictable mid-batch — all entries belong to the current one.
@@ -263,7 +262,7 @@ TEST(ExecutorParallelTest, BatchPinnedStoreEntriesSurviveTinyCap) {
   }
 
   // A second batch over *different* predicates unpins the first batch's
-  // entries; the over-cap shards now evict them (and only them).
+  // entries; the over-cap mask shard now evicts them (and only them).
   std::vector<AggQuery> second;
   for (AggFunction fn : AllAggFunctions()) {
     AggQuery q;

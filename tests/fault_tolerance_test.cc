@@ -15,7 +15,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -84,9 +83,9 @@ AggQuery MakeQuery(AggFunction fn, std::vector<Predicate> preds) {
   return q;
 }
 
-// The canonical batch: one group-key set, two distinct predicate masks, a
-// shared bucket (Sum/Avg over pa) so all three prepare stages (group/mask/
-// view, train-map, materialization) schedule builds.
+// The canonical batch: one group-key set, two distinct predicate masks and
+// a shared mask (Sum/Avg over pa), so both prepare stages these streaming
+// candidates need (group/mask/view, train-map) schedule builds.
 std::vector<AggQuery> CanonicalQueries() {
   const Predicate pa = Predicate::Equals("dept", Value::Str("a"));
   const Predicate pb = Predicate::Range("level", 1.0, 3.0);
@@ -124,7 +123,7 @@ TEST_F(FaultToleranceTest, IsolatedBuildFaultSparesSurvivingCandidates) {
   const std::vector<std::vector<double>> expected = Reference(tables, queries);
 
   // Mask build #0 is pa (first-seen request order): candidates 0 and 1
-  // depend on it (directly and through their shared bucket), 2 and 3 do not.
+  // depend on it, 2 and 3 do not.
   FaultInjector::Global().ArmSite("prepare.mask", 0);
   QueryPlanner planner;
   auto r = planner.EvaluateManyIsolated(queries, tables.training,
@@ -204,39 +203,6 @@ TEST_F(FaultToleranceTest, KernelFaultIsolatesOneCandidate) {
   }
 }
 
-TEST_F(FaultToleranceTest, ThrowingBucketBuildIsolatesItsCandidates) {
-  // The bucket's coordinator-side build step (fault site, chunk tallies,
-  // flat array) throws; the throw becomes that bucket's Status, as a pool
-  // task's would, with or without a pool. Candidates 0 and 1 share the
-  // only materialized bucket.
-  const Pair tables = MakePair();
-  const std::vector<AggQuery> queries = CanonicalQueries();
-  const std::vector<std::vector<double>> expected = Reference(tables, queries);
-  ThreadPool pool(4);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    SCOPED_TRACE(p == nullptr ? "serial" : "pool");
-    FaultInjector::Global().Reset();
-    FaultInjector::Global().ArmHook("prepare.mat", 0,
-                                    [] { throw std::bad_alloc(); });
-    QueryPlanner planner;
-    planner.set_thread_pool(p);
-    auto r = planner.EvaluateManyIsolated(queries, tables.training,
-                                          tables.relevant);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    for (size_t i = 0; i < queries.size(); ++i) {
-      if (i < 2) {
-        EXPECT_EQ(r.value()[i].status.code(), StatusCode::kInternal);
-        EXPECT_NE(r.value()[i].status.message().find("build threw"),
-                  std::string::npos);
-        continue;
-      }
-      ASSERT_TRUE(r.value()[i].status.ok()) << r.value()[i].status.ToString();
-      ExpectColumnsBitIdentical(r.value()[i].values, expected[i],
-                                "throw survivor " + std::to_string(i));
-    }
-  }
-}
-
 TEST_F(FaultToleranceTest, CancelMidPrepareNeverPublishesHalfBuiltStage) {
   // One sub-case per DAG stage: the hook cancels the context from inside the
   // stage's first build. The abandoned stage must publish nothing, and after
@@ -246,7 +212,7 @@ TEST_F(FaultToleranceTest, CancelMidPrepareNeverPublishesHalfBuiltStage) {
   const Pair tables = MakePair();
   const std::vector<AggQuery> queries = CanonicalQueries();
   const std::vector<std::vector<double>> expected = Reference(tables, queries);
-  const char* sites[] = {"prepare.group", "prepare.train_map", "prepare.mat"};
+  const char* sites[] = {"prepare.group", "prepare.train_map"};
 
   for (const char* site : sites) {
     SCOPED_TRACE(site);
@@ -259,10 +225,11 @@ TEST_F(FaultToleranceTest, CancelMidPrepareNeverPublishesHalfBuiltStage) {
                                           tables.relevant, &ctx);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
-    // The cancelled stage committed nothing. Materializations are the last
-    // stage, so they must be absent in every sub-case; cancelling inside the
-    // first stage additionally means no group index was published.
-    EXPECT_EQ(planner.store().num_materializations(), 0u);
+    // The cancelled stage committed nothing. Training-row maps are the last
+    // stage these candidates build, so they must be absent in every
+    // sub-case; cancelling inside the first stage additionally means no
+    // group index was published.
+    EXPECT_EQ(planner.store().num_train_map_builds(), 0u);
     if (std::string(site) == "prepare.group") {
       EXPECT_EQ(planner.store().num_group_builds(), 0u);
       EXPECT_EQ(planner.store().num_mask_builds(), 0u);
@@ -389,7 +356,7 @@ TEST(ExecLimitsTest, PreExpiredDeadlineFailsBeforeAnyPublish) {
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(planner.store().num_group_builds(), 0u);
   EXPECT_EQ(planner.store().num_mask_builds(), 0u);
-  EXPECT_EQ(planner.store().num_materializations(), 0u);
+  EXPECT_EQ(planner.store().num_view_builds(), 0u);
 }
 
 TEST(ExecLimitsTest, TinyMemoryBudgetIsResourceExhaustedUpFront) {

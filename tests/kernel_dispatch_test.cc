@@ -1,11 +1,10 @@
 /// \file kernel_dispatch_test.cc
 /// \brief Pins the kernel-backend contract (query/kernel_dispatch.h): the
 /// simd table is byte-identical to the scalar oracle across every aggregate
-/// kind, mask density, and slice alignment; a bucket built in row chunks
-/// and aggregated in group ranges equals the one-pass build and the
-/// whole-bucket aggregate; backend selection resolves
-/// planner-override > environment > config > detection; and the fused
-/// Bitset AND+popcount drives the planner's empty-selection short-circuit.
+/// kind, mask density and row layout; streamed MIN/MAX keep the first of
+/// equal values (signed zeros) exactly as the ComputeAggregate slice oracle
+/// does; and backend selection resolves
+/// planner-override > environment > config > detection.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +20,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "golden_util.h"
+#include "query/aggregate.h"
 #include "query/bitset.h"
 #include "query/group_index.h"
 #include "query/kernel_dispatch.h"
@@ -70,7 +70,7 @@ RandomPair MakePair(Rng* rng, size_t n_rel) {
       value.AppendNull();
     } else if (rng->Bernoulli(0.05)) {
       // Signed zeros: the one equal-doubles case where bit patterns differ,
-      // exercising the vector MIN/MAX first-occurrence fix-up.
+      // exercising MIN/MAX's first-occurrence rule.
       value.AppendDouble(rng->Bernoulli(0.5) ? 0.0 : -0.0);
     } else {
       value.AppendDouble(rng->Normal(0, 10));
@@ -102,14 +102,6 @@ RandomPair MakePair(Rng* rng, size_t n_rel) {
   return out;
 }
 
-// Slice aggregation of a whole bucket: the group range [0, G).
-std::vector<double> AggregateAll(const KernelOps& ops, AggFunction fn,
-                                 const MaterializedValues& m) {
-  std::vector<double> out(m.present.size());
-  ops.aggregate_from_materialized(fn, m, 0, out.size(), out.data());
-  return out;
-}
-
 // Bernoulli mask of the given density (nullopt = no mask / all rows).
 std::optional<Bitset> MakeMask(Rng* rng, size_t n, double density) {
   Bitset bits(n);
@@ -123,11 +115,11 @@ std::optional<Bitset> MakeMask(Rng* rng, size_t n, double density) {
 
 // ---- Raw kernel parity: every agg kind x mask density x view shape ---------
 
-// Sweeps every kernel entry over one relevant table: bucket materialization,
-// streaming (with first-selected-row tracking) and slice aggregation for all
-// 15 functions at each mask density, COUNT(*) without a view, and no mask.
-void ExpectStreamingAndMaterializedParity(const Table& relevant, Rng* rng,
-                                          const std::string& layout) {
+// Sweeps the streaming kernel over one relevant table: all 15 functions
+// (with first-selected-row tracking) at each mask density, COUNT(*) without
+// a view, and no mask.
+void ExpectStreamingParity(const Table& relevant, Rng* rng,
+                           const std::string& layout) {
   auto index_or = GroupIndex::Build(relevant, {"uid", "city"});
   ASSERT_TRUE(index_or.ok());
   const GroupIndex& index = index_or.value();
@@ -145,19 +137,6 @@ void ExpectStreamingAndMaterializedParity(const Table& relevant, Rng* rng,
     std::optional<Bitset> mask = MakeMask(rng, view.size(), density);
     const Bitset* mask_ptr = &*mask;
     const std::string ctx = layout + " density=" + std::to_string(density);
-
-    // Bucket materialization must match byte for byte: slice lengths vary
-    // per group, so flat offsets land on every alignment.
-    const MaterializedValues m_scalar =
-        BuildMaterializedValues(scalar, index, mask_ptr, view.data());
-    const MaterializedValues m_simd =
-        BuildMaterializedValues(simd, index, mask_ptr, view.data());
-    ASSERT_EQ(m_scalar.present, m_simd.present) << ctx;
-    ASSERT_EQ(m_scalar.offsets, m_simd.offsets) << ctx;
-    ExpectBitIdentical(
-        std::vector<double>(m_simd.flat.begin(), m_simd.flat.end()),
-        std::vector<double>(m_scalar.flat.begin(), m_scalar.flat.end()), ctx);
-
     for (AggFunction fn : AllAggFunctions()) {
       const std::string fctx = ctx + " fn=" + AggFunctionName(fn);
       std::vector<uint32_t> first_scalar, first_simd;
@@ -168,9 +147,6 @@ void ExpectStreamingAndMaterializedParity(const Table& relevant, Rng* rng,
                                      &first_scalar),
           "streaming " + fctx);
       ASSERT_EQ(first_scalar, first_simd) << fctx;
-      ExpectBitIdentical(AggregateAll(simd, fn, m_scalar),
-                         AggregateAll(scalar, fn, m_scalar),
-                         "materialized " + fctx);
     }
 
     // COUNT(*) without a value view (null view pointer).
@@ -193,13 +169,13 @@ void ExpectStreamingAndMaterializedParity(const Table& relevant, Rng* rng,
   }
 }
 
-TEST(KernelDispatchTest, StreamingAndMaterializedParityAcrossDensities) {
+TEST(KernelDispatchTest, StreamingParityAcrossDensities) {
   Rng rng(20260808);
   // 197 rows: not a multiple of 64, so every mask has a partial tail word.
   // Random keys put consecutive rows in different groups, so the simd table
   // iterates per-row spans.
   RandomPair pair = MakePair(&rng, 197);
-  ExpectStreamingAndMaterializedParity(pair.relevant, &rng, "random");
+  ExpectStreamingParity(pair.relevant, &rng, "random");
 
   // Rows sorted by group, as log tables cluster by entity: long same-group
   // segments send the simd table down its segment-decoded path.
@@ -218,139 +194,52 @@ TEST(KernelDispatchTest, StreamingAndMaterializedParityAcrossDensities) {
     segments += groups[order[r]] != groups[order[r - 1]];
   }
   ASSERT_GE(order.size(), 8 * segments) << "average segment length < 8";
-  ExpectStreamingAndMaterializedParity(clustered, &rng, "clustered");
+  ExpectStreamingParity(clustered, &rng, "clustered");
 }
 
-// ---- Row-chunk builds and group-range aggregation ---------------------------
+// ---- Streamed MIN/MAX on signed-zero ties ----------------------------------
 
-// The bucket build as the planner runs it: chunks of `chunk_rows` rows,
-// tallied and filled in reverse chunk order (chunks are independent; only
-// the serial layout between the passes orders them).
-MaterializedValues BuildChunked(const KernelOps& ops, const GroupIndex& index,
-                                const Bitset* mask, const double* view,
-                                size_t chunk_rows) {
-  const size_t n = index.num_rows();
-  std::vector<MaterializeChunk> chunks;
-  for (size_t b = 0; b < n; b += chunk_rows) {
-    chunks.emplace_back(b, std::min(n, b + chunk_rows), index.num_groups());
+// Dense ±0.0 ties: equal doubles whose bits differ. Streamed MIN/MAX keep
+// the first of equal values in row order, under either backend, exactly as
+// the ComputeAggregate slice oracle (min_element / max_element) does over
+// each group's values in row order.
+TEST(KernelDispatchTest, StreamingMinMaxKeepsFirstSignedZero) {
+  Rng rng(7);
+  Column key(DataType::kInt64), value(DataType::kDouble);
+  for (int i = 0; i < 700; ++i) {
+    // Even keys hold zeros and positives (MIN ties on ±0.0), odd keys zeros
+    // and negatives (MAX ties on ±0.0).
+    const int64_t k = static_cast<int64_t>(rng.UniformInt(9));
+    key.AppendInt(k);
+    const int pick = static_cast<int>(rng.UniformInt(4));
+    const double other = (std::abs(rng.Normal(0, 1)) + 1.0) * (k % 2 ? -1 : 1);
+    value.AppendDouble(pick == 0 ? 0.0 : pick == 1 ? -0.0 : other);
   }
-  for (size_t c = chunks.size(); c-- > 0;) {
-    ops.tally_materialized(index, mask, view, &chunks[c]);
-  }
-  MaterializedValues m;
-  LayoutMaterialized(chunks, index.num_groups(), &m);
-  for (size_t c = chunks.size(); c-- > 0;) {
-    ops.fill_materialized(index, mask, view, &chunks[c], m.flat.data());
-  }
-  return m;
-}
-
-void ExpectSameBucket(const MaterializedValues& actual,
-                      const MaterializedValues& expected,
-                      const std::string& context) {
-  ASSERT_EQ(actual.present, expected.present) << context;
-  ASSERT_EQ(actual.offsets, expected.offsets) << context;
-  ExpectBitIdentical(
-      std::vector<double>(actual.flat.begin(), actual.flat.end()),
-      std::vector<double>(expected.flat.begin(), expected.flat.end()),
-      context);
-}
-
-// Chunk edges anywhere (inside a mask word, on one, past the table) must
-// not change a byte of the bucket: each group's values stay in ascending
-// row order with chunks concatenated in order. Then any cut of [0, G) into
-// group ranges aggregates to the whole-bucket result.
-void ExpectChunkAndRangeSplitsInvariant(const Table& relevant, Rng* rng,
-                                        const std::string& layout) {
-  auto index_or = GroupIndex::Build(relevant, {"uid", "city"});
+  Table relevant;
+  ASSERT_TRUE(relevant.AddColumn("k", std::move(key)).ok());
+  ASSERT_TRUE(relevant.AddColumn("v", std::move(value)).ok());
+  auto index_or = GroupIndex::Build(relevant, {"k"});
   ASSERT_TRUE(index_or.ok());
   const GroupIndex& index = index_or.value();
-  const size_t n = relevant.num_rows();
-  std::vector<double> view(n);
-  auto col = relevant.GetColumn("value");
+  std::vector<double> view(relevant.num_rows());
+  std::vector<std::vector<double>> slices(index.num_groups());
+  auto col = relevant.GetColumn("v");
   ASSERT_TRUE(col.ok());
-  for (size_t r = 0; r < n; ++r) view[r] = col.value()->AsDouble(r);
-
-  const double densities[] = {-1.0, 0.0, 0.05, 0.7, 1.0};  // -1 = no mask
-  for (double density : densities) {
-    std::optional<Bitset> mask;
-    if (density >= 0.0) mask = MakeMask(rng, n, density);
-    const Bitset* mask_ptr = mask ? &*mask : nullptr;
-    const MaterializedValues oracle = BuildMaterializedValues(
-        ScalarKernelOps(), index, mask_ptr, view.data());
-    for (const KernelOps* ops : {&ScalarKernelOps(), &SimdKernelOps()}) {
-      const std::string ctx = layout + " density=" + std::to_string(density) +
-                              " backend=" + KernelBackendName(ops->backend);
-      for (size_t chunk_rows : {size_t{1}, size_t{63}, size_t{64},
-                                size_t{65}, size_t{1000}, n}) {
-        ExpectSameBucket(
-            BuildChunked(*ops, index, mask_ptr, view.data(), chunk_rows),
-            oracle, ctx + " chunk_rows=" + std::to_string(chunk_rows));
-      }
-
-      const size_t n_groups = oracle.present.size();
-      for (AggFunction fn : AllAggFunctions()) {
-        const std::vector<double> whole = AggregateAll(*ops, fn, oracle);
-        std::vector<double> split(n_groups);
-        size_t g = 0;
-        while (g < n_groups) {
-          const size_t end =
-              std::min(n_groups, g + rng->UniformInt(n_groups / 3 + 2));
-          ops->aggregate_from_materialized(fn, oracle, g, end, split.data());
-          g = end;  // an empty range (end == g) writes nothing
-        }
-        ExpectBitIdentical(split, whole,
-                           ctx + " ranges fn=" + AggFunctionName(fn));
-      }
-    }
+  for (size_t r = 0; r < view.size(); ++r) {
+    view[r] = col.value()->AsDouble(r);
+    slices[index.row_groups()[r]].push_back(view[r]);
   }
-}
-
-TEST(KernelDispatchTest, ChunkedBuildAndGroupRangesMatchWholeBucket) {
-  Rng rng(20261019);
-  // Random keys: consecutive rows in different groups (per-row spans).
-  RandomPair pair = MakePair(&rng, 2011);
-  ExpectChunkAndRangeSplitsInvariant(pair.relevant, &rng, "random");
-
-  // Group-sorted rows: the simd table's segment-decoded path, with chunk
-  // edges cutting segments.
-  RandomPair log = MakePair(&rng, 2011);
-  auto index_or = GroupIndex::Build(log.relevant, {"uid", "city"});
-  ASSERT_TRUE(index_or.ok());
-  const std::vector<uint32_t>& groups = index_or.value().row_groups();
-  std::vector<uint32_t> order(groups.size());
-  for (uint32_t r = 0; r < order.size(); ++r) order[r] = r;
-  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return groups[a] < groups[b];
-  });
-  ExpectChunkAndRangeSplitsInvariant(log.relevant.Take(order), &rng,
-                                     "clustered");
-}
-
-// Slice MIN/MAX at deliberately unaligned offsets and signed-zero ties: the
-// vector reduction must reproduce min_element/max_element's
-// first-among-equals result bit for bit (including the sign of zero).
-TEST(KernelDispatchTest, SliceMinMaxUnalignedAndSignedZero) {
-  const KernelOps& scalar = ScalarKernelOps();
-  const KernelOps& simd = SimdKernelOps();
-  Rng rng(7);
-  for (size_t offset = 0; offset < 9; ++offset) {
-    for (size_t len : {0ul, 1ul, 3ul, 15ul, 16ul, 64ul, 257ul}) {
-      MaterializedValues m;
-      m.present = {1, 1};
-      m.offsets = {0, offset, offset + len};
-      m.flat.resize(offset + len);
-      for (size_t i = 0; i < m.flat.size(); ++i) {
-        // Dense zero ties with mixed signs, plus ordinary values.
-        const int pick = static_cast<int>(rng.UniformInt(4));
-        m.flat[i] = pick == 0 ? 0.0 : pick == 1 ? -0.0 : rng.Normal(0, 1);
-      }
-      for (AggFunction fn : {AggFunction::kMin, AggFunction::kMax}) {
-        ExpectBitIdentical(
-            AggregateAll(simd, fn, m), AggregateAll(scalar, fn, m),
-            "offset=" + std::to_string(offset) + " len=" +
-                std::to_string(len) + " fn=" + AggFunctionName(fn));
-      }
+  for (AggFunction fn : {AggFunction::kMin, AggFunction::kMax}) {
+    std::vector<double> oracle;
+    for (const std::vector<double>& slice : slices) {
+      oracle.push_back(ComputeAggregate(fn, slice.data(), slice.size()));
+    }
+    for (const KernelOps* ops : {&ScalarKernelOps(), &SimdKernelOps()}) {
+      ExpectBitIdentical(
+          ops->aggregate_streaming(fn, index, nullptr, view.data(), nullptr),
+          oracle,
+          std::string(KernelBackendName(ops->backend)) + " fn=" +
+              AggFunctionName(fn));
     }
   }
 }
@@ -461,25 +350,6 @@ TEST(KernelDispatchTest, FilterMaskParityInt64FullRange) {
   }
 }
 
-// ---- Fused AND+popcount (satellite kernels) --------------------------------
-
-TEST(KernelDispatchTest, BitsetAndWithCountMatchesAndPlusCount) {
-  Rng rng(5);
-  for (size_t n : {1ul, 63ul, 64ul, 65ul, 500ul}) {
-    Bitset a = *MakeMask(&rng, n, 0.4);
-    const Bitset b = *MakeMask(&rng, n, 0.6);
-    const size_t probe = a.AndCount(b);
-    Bitset reference = a;
-    reference.AndWith(b);
-    const size_t fused = a.AndWithCount(b);
-    ASSERT_EQ(fused, reference.Count()) << n;
-    ASSERT_EQ(probe, fused) << n;
-    for (size_t w = 0; w < a.num_words(); ++w) {
-      ASSERT_EQ(a.words()[w], reference.words()[w]) << n;
-    }
-  }
-}
-
 // ---- End-to-end planner parity at several thread counts --------------------
 
 std::vector<AggQuery> MakePool() {
@@ -488,8 +358,8 @@ std::vector<AggQuery> MakePool() {
   pred_sets.push_back({Predicate::Equals("dept", Value::Str("a"))});
   pred_sets.push_back({Predicate::Equals("dept", Value::Str("b")),
                        Predicate::Range("level", std::nullopt, 3.0)});
-  // Contradictory conjunction: the fused count proves it empty, the planner
-  // short-circuits its shared-bucket materialization.
+  // Contradictory conjunction: selects no row, so every candidate over it
+  // is all NaN.
   pred_sets.push_back({Predicate::Equals("dept", Value::Str("a")),
                        Predicate::Equals("dept", Value::Str("b"))});
   std::vector<AggQuery> out;
@@ -531,9 +401,14 @@ TEST(KernelDispatchTest, EvaluateManyBackendParityAcrossThreadCounts) {
                          "threads=" + std::to_string(threads) +
                              " candidate=" + std::to_string(i));
     }
-    // The contradictory conjunction's bucket was proven empty by the fused
-    // count and never streamed.
-    EXPECT_GE(simd_planner.last_plan_stats().empty_selections, 1u) << threads;
+    // The contradictory conjunction (the last predicate set) selects no
+    // row: every candidate over it is all NaN under both backends.
+    const size_t n_fns = AllAggFunctions().size();
+    for (size_t i = pool.size() - n_fns; i < pool.size(); ++i) {
+      for (double v : actual.value()[i]) {
+        ASSERT_TRUE(std::isnan(v)) << "threads=" << threads << " q" << i;
+      }
+    }
   }
 }
 
@@ -610,26 +485,6 @@ TEST(KernelDispatchTest, DetectionReporting) {
 #if defined(FEATLIB_DISABLE_SIMD)
   EXPECT_EQ(level, SimdLevel::kScalarOnly);
 #endif
-}
-
-// ---- Aligned-buffer byte accounting (MaterializedValues::SizeBytes) --------
-
-TEST(KernelDispatchTest, SizeBytesCountsCapacityAndAlignment) {
-  MaterializedValues m;
-  EXPECT_EQ(m.SizeBytes(), 0u);
-  m.present.assign(10, 0);
-  m.offsets.assign(11, 0);
-  m.flat.resize(3);  // 24 bytes of doubles -> one 64-byte aligned block
-  const size_t expected = 64 + m.offsets.capacity() * sizeof(size_t) +
-                          m.present.capacity() * sizeof(uint32_t);
-  EXPECT_EQ(m.SizeBytes(), expected);
-
-  // Capacity, not size: shrinking the logical size must not shrink the
-  // accounted footprint while the allocation is retained.
-  m.flat.resize(100);
-  const size_t grown = m.SizeBytes();
-  m.flat.resize(1);
-  EXPECT_EQ(m.SizeBytes(), grown);
 }
 
 }  // namespace

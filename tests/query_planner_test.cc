@@ -2,8 +2,8 @@
 /// \brief Pins the planner layer of the planner / store / kernel split:
 /// artifact-DAG deduplication and topology (via PlanStats), publish-once
 /// semantics under parallel prepare, determinism of parallel prepare across
-/// thread counts, one candidate's work split into build chunks and group
-/// ranges without changing a byte, eviction pinning, error propagation from
+/// thread counts, one candidate's work split into group ranges without
+/// changing a byte, eviction pinning, error propagation from
 /// staged builds, morsel stats that follow the last evaluation, and a
 /// serving plan outliving the planner that compiled it.
 
@@ -82,9 +82,8 @@ TEST(QueryPlannerTest, PlanDeduplicatesSharedArtifacts) {
   const Predicate pa = Predicate::Equals("dept", Value::Str("a"));
   const Predicate pb = Predicate::Range("level", 1.0, 3.0);
 
-  // 6 candidates: one group-key set, two distinct single predicates, one
-  // conjunction (both), one value view, three distinct buckets with >1
-  // member each => three materializations.
+  // 6 streaming candidates: one group-key set, two distinct single
+  // predicates, one conjunction (both), one value view.
   std::vector<AggQuery> queries = {
       MakeQuery(AggFunction::kSum, {pa}),    MakeQuery(AggFunction::kAvg, {pa}),
       MakeQuery(AggFunction::kSum, {pb}),    MakeQuery(AggFunction::kMin, {pb}),
@@ -102,15 +101,13 @@ TEST(QueryPlannerTest, PlanDeduplicatesSharedArtifacts) {
   EXPECT_EQ(stats.mask_requests, 2u);         // pa, pb — not one per candidate
   EXPECT_EQ(stats.conjunction_requests, 1u);  // pa&pb
   EXPECT_EQ(stats.view_requests, 1u);         // "v"
-  EXPECT_EQ(stats.mat_requests, 3u);          // three shared buckets
-  // Conjunctions build after their constituent masks, materializations
-  // after group+mask+view: all three dependency stages must have run.
-  EXPECT_EQ(stats.stages_run, 3u);
-  EXPECT_EQ(stats.builds_run, 1u + 1u + 2u + 1u + 1u + 3u);
-  // A 160-row table is one build chunk and every bucket holds far fewer
-  // than 8k values: one build task per bucket, one kernel item per
-  // candidate.
-  EXPECT_EQ(stats.mat_build_tasks, 3u);
+  EXPECT_EQ(stats.order_requests, 0u);        // no order statistic
+  // Conjunctions and training-row maps build after their constituent masks
+  // and group index: stages A and B run; with no order statistic, stage C
+  // has nothing to build.
+  EXPECT_EQ(stats.stages_run, 2u);
+  EXPECT_EQ(stats.builds_run, 1u + 1u + 2u + 1u + 1u);
+  // Every candidate streams: one kernel item each.
   EXPECT_EQ(stats.kernel_tasks, 6u);
 
   // Store counters agree: exactly one build per unique artifact.
@@ -118,7 +115,7 @@ TEST(QueryPlannerTest, PlanDeduplicatesSharedArtifacts) {
   EXPECT_EQ(planner.store().num_mask_builds(), 2u);
   EXPECT_EQ(planner.store().num_conjunction_builds(), 1u);
   EXPECT_EQ(planner.store().num_view_builds(), 1u);
-  EXPECT_EQ(planner.store().num_materializations(), 3u);
+  EXPECT_EQ(planner.store().num_order_builds(), 0u);
 }
 
 TEST(QueryPlannerTest, SecondIdenticalBatchBuildsNothing) {
@@ -174,21 +171,20 @@ TEST(QueryPlannerTest, ReusedPlannerRemapsSameSizedTrainingTable) {
   }
 }
 
-TEST(QueryPlannerTest, SingletonStreamingCandidateSkipsMaterialization) {
+TEST(QueryPlannerTest, OnlyOrderStatisticsBuildAValueOrder) {
   const Pair tables = MakePair();
   QueryPlanner planner;
-  // One streaming aggregate alone in its bucket: streams through the value
-  // view, no materialization.
+  // A streaming aggregate reads the value view alone: no value order.
   auto one = planner.ComputeFeatureColumn(MakeQuery(AggFunction::kSum, {}),
                                           tables.training, tables.relevant);
   ASSERT_TRUE(one.ok());
-  EXPECT_EQ(planner.store().num_materializations(), 0u);
+  EXPECT_EQ(planner.store().num_order_builds(), 0u);
+  EXPECT_EQ(planner.last_plan_stats().kernel_tasks, 1u);
   // An order-statistic aggregate reads its pair's value order, alone or
-  // not: one ValueOrder build, still no materialization.
+  // not: one ValueOrder build.
   auto med = planner.ComputeFeatureColumn(MakeQuery(AggFunction::kMedian, {}),
                                           tables.training, tables.relevant);
   ASSERT_TRUE(med.ok());
-  EXPECT_EQ(planner.store().num_materializations(), 0u);
   EXPECT_EQ(planner.store().num_order_builds(), 1u);
 }
 
@@ -212,10 +208,14 @@ TEST(QueryPlannerTest, ParallelPrepareBuildsEachArtifactExactlyOnce) {
   EXPECT_EQ(planner.store().num_group_builds(), 1u);
   EXPECT_EQ(planner.store().num_mask_builds(), 1u);
   EXPECT_EQ(planner.store().num_view_builds(), 1u);
-  EXPECT_EQ(planner.store().num_materializations(), 1u);
+  EXPECT_EQ(planner.store().num_order_builds(), 1u);  // the 5 order stats
   EXPECT_EQ(planner.store().num_train_map_builds(), 1u);
-  EXPECT_EQ(planner.last_plan_stats().mat_build_tasks, 1u);
-  EXPECT_EQ(planner.last_plan_stats().kernel_tasks, queries.size());
+  const QueryPlanner::PlanStats& stats = planner.last_plan_stats();
+  EXPECT_EQ(stats.builds_run, 5u);  // group, mask, view; map; value order
+  EXPECT_EQ(stats.stages_run, 3u);
+  // 10 streaming candidates and 5 order statistics over 160 rows, each far
+  // under 8k rows: one kernel item per candidate.
+  EXPECT_EQ(stats.kernel_tasks, queries.size());
 }
 
 // --- Determinism of parallel prepare across thread counts --------------------
@@ -263,7 +263,6 @@ TEST(QueryPlannerTest, EvictionPinningHoldsUnderParallelPrepare) {
   QueryPlanner planner;
   planner.set_thread_pool(&pool);
   planner.set_mask_cache_cap_bytes(1);
-  planner.set_mat_cache_cap_bytes(1);
   auto first = planner.EvaluateMany(queries, tables.training, tables.relevant);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   // Every over-cap entry belongs to the in-flight batch: pinned, 0 evicted.
@@ -483,10 +482,10 @@ TEST(QueryPlannerTest, InRamEvaluationZeroesMorselStats) {
 
 // --- Splitting one candidate's work across the pool -------------------------
 
-// A relevant table of several 32k-row build chunks and far more than 8k
-// values per bucket: 70001 rows (a partial tail word) over 40 keys, with
-// nulls and signed zeros in the values.
-Pair MakeMultiChunkPair() {
+// A relevant table of far more than 8k rows per (group keys, attribute)
+// pair: 70001 rows (a partial tail word) over 40 keys, with nulls and
+// signed zeros in the values.
+Pair MakeLargePair() {
   Pair out;
   Rng rng(23);
   const char* depts[] = {"a", "b", "c"};
@@ -515,14 +514,14 @@ Pair MakeMultiChunkPair() {
 }
 
 // A lone MEDIAN (one order-statistic candidate) and a mixed pool of eight
-// (four order statistics over one ValueOrder, a shared bucket of two, two
-// streaming singletons) over a multi-chunk table: the bucket builds run as
-// several chunk tasks, the order-statistic and materialized candidates as
-// several group-range items, and the columns are byte-identical at every
-// thread count — equal to the 1-thread run and to the morsel pipeline,
-// which splits nothing.
+// (four order statistics over one ValueOrder, four streaming candidates —
+// MIN and KURTOSIS on one mask among them) over a large table: the value
+// order sorts in several group-range tasks, every order-statistic candidate
+// runs as several group-range items, and the columns are byte-identical at
+// every thread count — equal to the 1-thread run and to the morsel
+// pipeline, which splits nothing.
 TEST(QueryPlannerTest, SplitCandidatesAreByteIdenticalAcrossThreadCounts) {
-  const Pair tables = MakeMultiChunkPair();
+  const Pair tables = MakeLargePair();
   const Predicate pa = Predicate::Equals("dept", Value::Str("a"));
   const Predicate pb = Predicate::Range("level", 1.0, 3.0);
   const std::vector<AggQuery> lone = {MakeQuery(AggFunction::kMedian, {})};
@@ -537,7 +536,7 @@ TEST(QueryPlannerTest, SplitCandidatesAreByteIdenticalAcrossThreadCounts) {
       MakeQuery(AggFunction::kVarSample, {pa, pb}),
   };
   for (const std::vector<AggQuery>* queries : {&lone, &mixed}) {
-    const size_t n_mat = queries == &lone ? 1 : 6;
+    const size_t n_order = queries == &lone ? 1 : 4;
     QueryPlanner morsel;
     morsel.set_morsel_rows(size_t{1} << 20);
     auto oracle =
@@ -556,15 +555,15 @@ TEST(QueryPlannerTest, SplitCandidatesAreByteIdenticalAcrossThreadCounts) {
           planner.EvaluateMany(*queries, tables.training, tables.relevant);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       const QueryPlanner::PlanStats& stats = planner.last_plan_stats();
-      // Order statistics read the one ValueOrder and request no bucket;
-      // the mixed pool's MIN and KURTOSIS share one.
+      // Order statistics read the one ValueOrder; every other candidate
+      // streams. Builds: group index, view, value order and training-row
+      // map, plus masks pa and pb and their conjunction in the mixed pool.
       EXPECT_EQ(stats.order_requests, 1u) << ctx;
-      EXPECT_EQ(stats.mat_requests, queries == &lone ? 0u : 1u) << ctx;
-      // 70001 rows over 40 groups build in three chunks; the bucket holds
-      // about 19k values and every order statistic walks all 70001 rows,
-      // so every such candidate splits into several group ranges.
-      EXPECT_EQ(stats.mat_build_tasks, queries == &lone ? 0u : 3u) << ctx;
-      EXPECT_GE(stats.kernel_tasks, 2 * n_mat + queries->size() - n_mat)
+      EXPECT_EQ(stats.builds_run, queries == &lone ? 4u : 7u) << ctx;
+      EXPECT_EQ(stats.stages_run, 3u) << ctx;
+      // Every order statistic walks all 70001 rows, so each splits into
+      // several group ranges; each streaming candidate is one item.
+      EXPECT_GE(stats.kernel_tasks, 2 * n_order + queries->size() - n_order)
           << ctx;
       if (!one_thread) one_thread = result.value();
       for (size_t i = 0; i < queries->size(); ++i) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <random>
+
 #include "common/rng.h"
+#include "core/plan_io.h"
+#include "mutation.h"
 
 namespace featlib {
 namespace {
@@ -154,6 +159,10 @@ INSTANTIATE_TEST_SUITE_P(
         BadSqlCase{"NotEquals",
                    "SELECT k, SUM(x) FROM r WHERE a != 1 GROUP BY k",
                    "outside the Def. 2 query class"},
+        BadSqlCase{"IntegerLiteralOutOfRange",
+                   "SELECT k, SUM(x) FROM r WHERE a = 99999999999999999999 "
+                   "GROUP BY k",
+                   "out of int64 range"},
         BadSqlCase{"NullLiteral",
                    "SELECT k, SUM(x) FROM r WHERE a = NULL GROUP BY k",
                    "NULL comparisons"},
@@ -261,6 +270,124 @@ TEST(SqlParserRoundTripTest, SqlOfParseOfSqlIsAFixedPoint) {
     EXPECT_EQ(parsed.value().query.CacheKey(), q.CacheKey()) << sql;
     EXPECT_EQ(parsed.value().relation, "logs");
   }
+}
+
+// A bound beyond int64 on an integer column renders as a double: llround
+// has no defined value there (-2^63 on x86), which would invert the
+// BETWEEN.
+TEST(SqlParserRoundTripTest, OutOfRangeIntegerBoundKeepsItsValue) {
+  Table logs = MakeLogs();
+  auto parsed = ParseAggQuerySql(
+      "SELECT cname, MODE(pprice) FROM logs WHERE ts BETWEEN 163 AND 2e33 "
+      "AND level >= -1e19 GROUP BY cname",
+      logs);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const std::string sql = parsed.value().query.ToSql("logs", logs);
+  EXPECT_NE(sql.find("ts BETWEEN 163 AND 2e+33"), std::string::npos) << sql;
+  EXPECT_NE(sql.find("level >= -1e+19"), std::string::npos) << sql;
+  auto again = ParseAggQuerySql(sql, logs);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again.value().query.ToSql("logs", logs), sql);
+}
+
+// --- Hostile-input sweep ----------------------------------------------------
+
+// `parsed` renders to SQL that parses again (against `schema` when
+// `with_schema`) and renders to the same text: the ToSql fixed point.
+testing::AssertionResult ReachesToSqlFixedPoint(const ParsedAggQuery& parsed,
+                                                const Table& schema,
+                                                bool with_schema) {
+  const std::string sql = parsed.query.ToSql(parsed.relation, schema);
+  auto again = with_schema ? ParseAggQuerySql(sql, schema)
+                           : ParseAggQuerySql(sql);
+  if (!again.ok()) {
+    return testing::AssertionFailure()
+           << "rendered SQL does not parse: " << again.status().ToString()
+           << "\n" << sql;
+  }
+  const std::string resql = again.value().query.ToSql(again.value().relation,
+                                                      schema);
+  if (resql != sql) {
+    return testing::AssertionFailure() << "not a fixed point:\n"
+                                       << sql << "\n--- vs ---\n"
+                                       << resql;
+  }
+  return testing::AssertionSuccess();
+}
+
+// Random edits of a corpus of dialect text (the paper query, ToSql
+// round-trip outputs and a serialized plan script), drawn from the
+// dialect's punctuation, digits and keywords: every input must end in OK or
+// a non-OK Status, never a crash, and every query that parses must reach
+// the ToSql fixed point. scripts/ci.sh rotates FEATLIB_FUZZ_SEED daily.
+TEST(SqlMutationSweep, ParsesOrFailsCleanlyAndRoundTrips) {
+  const uint64_t seed = mutation::SweepSeed();
+  const uint64_t iters = mutation::SweepIters();
+  std::printf("sql mutation sweep: seed %llu, %llu inputs\n",
+              static_cast<unsigned long long>(seed),
+              static_cast<unsigned long long>(iters));
+
+  const Table logs = MakeLogs();
+  const Table no_schema;
+  std::vector<std::string> corpus = {
+      "SELECT cname, AVG(pprice) AS avgprice\n"
+      "FROM User_Logs\n"
+      "WHERE department = 'Electronics' AND ts >= 200\n"
+      "GROUP BY cname",
+      "SELECT cname, COUNT(*) AS n FROM logs WHERE level BETWEEN 1 AND 3 "
+      "AND pprice <= -2.5e+01 GROUP BY cname;",
+  };
+  Rng query_rng(7);
+  AugmentationPlan plan;
+  for (int i = 0; i < 6; ++i) {
+    const AggQuery q = RandomQuery(&query_rng);
+    corpus.push_back(q.ToSql("logs", logs));
+    if (i < 3) {
+      plan.queries.push_back(q);
+      plan.feature_names.push_back("f" + std::to_string(i));
+      plan.valid_metrics.push_back(0.5 + 0.125 * i);
+    }
+  }
+  corpus.push_back(SerializeAugmentationPlan(plan, "logs", logs));
+
+  std::vector<std::string> tokens =
+      mutation::CharTokens("'(),;=<>.-+0123456789eE \n");
+  for (const char* keyword :
+       {"SELECT", "FROM", "WHERE", "GROUP", "BY", "AND", "OR", "AS",
+        "BETWEEN", "TRUE", "NULL", "COUNT", "MEDIAN", "*", "--"}) {
+    tokens.emplace_back(keyword);
+  }
+
+  std::mt19937_64 rng(seed);
+  size_t ok = 0, failed = 0;
+  for (uint64_t i = 0; i < iters; ++i) {
+    std::string text = corpus[rng() % corpus.size()];
+    mutation::Mutate(&text, tokens, rng);
+    const std::string where = "seed " + std::to_string(seed) + " input " +
+                              std::to_string(i) + ":\n" + text;
+
+    for (const bool with_schema : {false, true}) {
+      auto parsed = with_schema ? ParseAggQuerySql(text, logs)
+                                : ParseAggQuerySql(text);
+      if (!parsed.ok()) {
+        ++failed;
+        ASSERT_FALSE(parsed.status().message().empty()) << where;
+        continue;
+      }
+      ++ok;
+      ASSERT_TRUE(ReachesToSqlFixedPoint(
+          parsed.value(), with_schema ? logs : no_schema, with_schema))
+          << where;
+    }
+    auto script = ParseAggQueryScript(text);
+    if (!script.ok()) {
+      ASSERT_FALSE(script.status().message().empty()) << where;
+    }
+  }
+  std::printf("sql mutation sweep: %zu parses OK, %zu rejected\n", ok, failed);
+  // The sweep must reach both outcomes to test anything.
+  EXPECT_GT(ok, 0u);
+  EXPECT_GT(failed, 0u);
 }
 
 }  // namespace

@@ -258,17 +258,15 @@ void ExpectKernelMatchesRowOrderedSlices(const Pair& tables) {
   }
   for (const auto& [name, mask] : masks) {
     const Bitset* mask_ptr = mask ? &*mask : nullptr;
-    const MaterializedValues bucket = BuildMaterializedValues(
-        ScalarKernelOps(), index, mask_ptr, view.data());
     for (AggFunction fn : kOrderStatistics) {
       const std::string ctx = name + " " + AggFunctionName(fn);
       const std::vector<double> want =
           RowOrderedReference(fn, index, mask_ptr, view);
-      // The row-ordered bucket slices agree with the reference too.
-      std::vector<double> from_bucket(index.num_groups());
-      AggregateFromMaterialized(fn, bucket, 0, from_bucket.size(),
-                                from_bucket.data());
-      ExpectBitIdentical(from_bucket, want, "bucket " + ctx);
+      // The streamed accumulator (per-group value buffers in row order)
+      // agrees with the reference too.
+      ExpectBitIdentical(ScalarKernelOps().aggregate_streaming(
+                             fn, index, mask_ptr, view.data(), nullptr),
+                         want, "streamed " + ctx);
       for (int trial = 0; trial < 4; ++trial) {
         std::vector<double> got(index.num_groups(), -1.0);
         for (const auto& [b, e] : RandomCuts(&rng, index.num_groups())) {
@@ -375,7 +373,6 @@ TEST(ValueOrderTest, PlannerMatchesMorselAndGroupedResultAtEveryThreadCount) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     const QueryPlanner::PlanStats& stats = planner.last_plan_stats();
     EXPECT_EQ(stats.order_requests, 2u) << ctx;  // (k, v) and (k, level)
-    EXPECT_EQ(stats.mat_requests, 0u) << ctx;
     EXPECT_EQ(planner.store().num_order_builds(), 2u) << ctx;
     EXPECT_GT(stats.kernel_tasks, queries.size()) << ctx;
     for (size_t i = 0; i < queries.size(); ++i) {
@@ -398,7 +395,6 @@ TEST(ValueOrderTest, OneBuildPerPairIsReusedByLaterBatches) {
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(planner.last_plan_stats().order_requests, 1u);
   EXPECT_EQ(planner.store().num_order_builds(), 1u);
-  EXPECT_EQ(planner.store().num_materializations(), 0u);
 
   // A later batch over the same pair, with a predicate never seen, reuses
   // it: requested, not built.
